@@ -26,8 +26,9 @@ from .flags import (GroupKind, curve_point, exp_translate_flag, flags_equal,
                     gram_matrix, is_isotropic_flag, nilpotency_index,
                     osculating_flag, principal_nilpotent, random_isotropic_flag)
 from .grassmann import (PermCondition, SchubertCondition, codim,
+                        condition_codim, expected_dim_report,
                         flag_manifold_dim, iota, pad_to_zero_dimensional,
-                        perm_codim, transversality_certificate)
+                        small_solver_gr24, transversality_certificate)
 from .wronski import check_eh_identity, random_plane
 
 EXIT_OK = 0
@@ -130,8 +131,6 @@ def cmd_peterson_check(args):
 
 
 def _solve_and_certify(flags, mode_payload):
-    from .grassmann import small_solver_gr24
-
     cond = iota(2, 4)
     solutions = small_solver_gr24(flags)
     pairs = [(cond, f) for f in flags]
@@ -179,6 +178,8 @@ def cmd_eh_check(args):
     k, m = args.k, args.m
     if not (1 <= k < m <= 8):
         raise ValueError("need 1 <= k < m <= 8")
+    if args.samples < 0:
+        raise ValueError("--samples must be >= 0")
     ts = _rational_list(args.points)
     rng = random.Random(args.seed)
     failures = []
@@ -215,26 +216,24 @@ def cmd_dim_report(args):
     m = int(ambient["m"])
     dims = [int(d) for d in ambient["dims"]]
     dim = flag_manifold_dim(dims, m)
-    codims = []
+    conds = []
     for entry in data.get("conditions", []):
         if "perm" in entry:
-            cond = PermCondition(m, tuple(int(x) for x in entry["perm"]),
-                                 tuple(dims))
-            codims.append(perm_codim(cond))
+            conds.append(PermCondition(m, tuple(int(x) for x in entry["perm"]),
+                                       tuple(dims)))
         elif "indices" in entry:
             if len(dims) != 1:
                 raise ValueError("index conditions need a single-step ambient")
-            cond = SchubertCondition(dims[0], m,
-                                     tuple(int(x) for x in entry["indices"]))
-            codims.append(codim(cond))
+            conds.append(SchubertCondition(
+                dims[0], m, tuple(int(x) for x in entry["indices"])))
         else:
             raise ValueError(f"condition needs 'perm' or 'indices': {entry}")
-    expected = dim - sum(codims)
+    report = expected_dim_report(conds, dim)
     payload = {
         "dim": dim,
-        "codims": codims,
-        "expected": expected,
-        "empty_for_general": expected < 0,
+        "codims": [condition_codim(c) for c in conds],
+        "expected": report.expected,
+        "empty_for_general": report.empty_for_general,
     }
     return EXIT_OK, payload
 

@@ -13,19 +13,24 @@ out by
     phi(V cap E_{i_j})  subset  (E_{i_j} + V) / V     for every j,
 
 and a list of conditions is transverse at V when the stacked constraint
-rows have rank equal to the sum of the codimensions.
+rows have rank equal to the sum of the codimensions.  Every query reads
+one echelon form (Fulton, Young Tableaux, ch. 9): V written in the flag's
+basis, its columns reduced to distinct lowest nonzero rows p_1 < ... < p_k.
+Then dim(V cap E_i) = #{j : p_j <= i}; V satisfies I iff p_j <= i_j for
+every j, and lies in the open cell iff p = I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (DegenerateConfiguration, DimensionMismatch, InfinitelyMany,
                      NegativeExpectedDimension, NotInCellInterior, NotMember)
 from .flags import Flag
-from .linalg import (Matrix, det, inverse, kernel, rank, simplify_matrix,
+from .linalg import (Matrix, det, rank, rref, simplify_matrix,
                      solve_quadratic)
 
 __all__ = [
@@ -111,36 +116,66 @@ def _check_compatible(V: GrPoint, cond: SchubertCondition, F: Flag) -> None:
         raise DimensionMismatch(f"condition needs k={cond.k}, point has k={V.k}")
 
 
-def _cap_dim(V: GrPoint, F: Flag, i: int) -> int:
-    """dim(V cap E_i) = k + i - rank([V | E_i])."""
-    return V.k + i - rank(V.basis.hstack(F.prefix(i)))
+def _position(V: GrPoint, F: Flag):
+    """Jump rows and adapted basis of V relative to F, from one echelon form.
+
+    Row-reduces [F | V | W], W the standard columns completing V (rows of V
+    off the pivots of rref(V^T)), to C = F^-1 V and X = F^-1 W, and reduces
+    the columns of C bottom-up.  Returns the jump rows p_1 < ... < p_k; the
+    columns c_a (c_a[p_a] = 1, zero below p_a and at the other jump rows),
+    each followed by alpha_a with V alpha_a = F c_a; and the rows of X.
+    """
+    k, m = V.k, V.ambient_dim
+    _, pivots = rref(V.basis.transpose())
+    W = Matrix.identity(m).take_columns(r for r in range(m) if r not in pivots)
+    R, _ = rref(F.basis.hstack(V.basis).hstack(W))
+    # column a of C over e_a, so that column operations also track alpha_a
+    cols = [[R[r, m + a] for r in range(m)] + [Fraction(a == b) for b in range(k)]
+            for a in range(k)]
+    jump = [0] * k
+    for r in reversed(range(m)):
+        a = next((a for a in range(k) if not jump[a] and cols[a][r]), None)
+        if a is None:
+            continue
+        jump[a] = r + 1
+        piv = cols[a][r]
+        cols[a] = [x / piv for x in cols[a]]
+        for b in range(k):
+            f = cols[b][r]
+            if b != a and f:
+                cols[b] = [x - f * y for x, y in zip(cols[b], cols[a])]
+    order = sorted(range(k), key=jump.__getitem__)
+    return (tuple(jump[a] for a in order), [cols[a] for a in order],
+            [R.row(r)[m + k:] for r in range(m)])
+
+
+def _satisfies(jumps: tuple[int, ...], cond: SchubertCondition) -> bool:
+    return all(p <= i for p, i in zip(jumps, cond.indices))
 
 
 def membership(V: GrPoint, cond: SchubertCondition, F: Flag) -> bool:
-    """Whether dim(V cap E_{i_j}) >= j for every j, computed by exact ranks."""
+    """Whether dim(V cap E_{i_j}) >= j for every j, i.e. p_j <= i_j."""
     _check_compatible(V, cond, F)
-    return all(_cap_dim(V, F, i) >= j for j, i in enumerate(cond.indices, 1))
+    return _satisfies(_position(V, F)[0], cond)
 
 
 def cell_interior(V: GrPoint, cond: SchubertCondition, F: Flag) -> bool:
-    """Whether the intersection dimensions jump exactly at the i_j.
-
-    Raises NotMember when V is not in the variety at all.
-    """
-    if not membership(V, cond, F):
+    """Whether V's jump rows are exactly the i_j; raises NotMember off the variety."""
+    _check_compatible(V, cond, F)
+    jumps = _position(V, F)[0]
+    if not _satisfies(jumps, cond):
         raise NotMember(f"point is not in the Schubert variety of {cond.indices}")
-    for j, i in enumerate(cond.indices, 1):
-        if _cap_dim(V, F, i) != j or _cap_dim(V, F, i - 1) != j - 1:
-            return False
-    return True
+    return jumps == cond.indices
 
 
 @dataclass(frozen=True)
 class TangentSpace:
     """Linear constraints cutting the tangent space inside Hom(V, C^m/V).
 
+    C^m/V is spanned by the standard basis vectors that complete V.
     ``constraints`` has k*(m-k) columns; the coordinate phi_{r,c} (image
-    coordinate r of basis vector c of V) sits in column c*(m-k) + r.
+    coordinate r of basis vector c of V) sits in column c*(m-k) + r.  Its
+    codim(cond) rows are linearly independent.
     """
 
     point: GrPoint
@@ -151,56 +186,50 @@ class TangentSpace:
         return self.point.k * (self.point.ambient_dim - self.point.k)
 
 
-def _complement_columns(B: Matrix) -> Matrix:
-    """Standard basis vectors completing the column span of B to C^m.
+_ZERO = Fraction(0)  # shared by every zero entry of a constraint row
 
-    Uses the rows missed by the pivot rows of B, i.e. the pivot columns of
-    B transposed.
-    """
-    from .linalg import rref
 
-    _, pivot_rows = rref(B.transpose())
-    miss = [r for r in range(B.rows) if r not in pivot_rows]
-    cols = []
-    for r in miss:
-        v = [Fraction(0)] * B.rows
-        v[r] = Fraction(1)
-        cols.append(v)
-    if not cols:
-        return Matrix([[] for _ in range(B.rows)], shape=(B.rows, 0))
-    return Matrix.from_columns(cols, rows=B.rows)
+def _primitive(vec: Sequence) -> list:
+    """A rational vector scaled to a primitive integer one; others unchanged."""
+    if not all(isinstance(x, Fraction) for x in vec):
+        return list(vec)
+    scale = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (scale // x.denominator) for x in vec]
+    g = gcd(*ints) or 1
+    return [n // g for n in ints]
 
 
 def tangent_space(V: GrPoint, cond: SchubertCondition, F: Flag) -> TangentSpace:
     """Constraint rows for the tangent space at an open-cell point.
 
-    At such a point the rows always have rank equal to the codimension of
-    the condition.  Raises NotInCellInterior away from the open cell.
+    There c_a (see _position) lies in E_{i_a}, and the conditions become
+    lambda(phi(c_a)) = 0 for the functionals lambda on C^m/V vanishing on
+    E_{i_a}; mu_r = e_r - sum_{p_l > r} c_l[r] e_{p_l}, for the non-jump
+    rows r > i_a, are a basis of them in flag coordinates.  So there is one
+    row alpha_a (x) (mu_r X) per such (a, r): codim(cond) independent rows,
+    each a primitive integer vector when rational.  Raises NotInCellInterior
+    away from the open cell.
     """
     _check_compatible(V, cond, F)
-    if not membership(V, cond, F):
+    jumps, cols, X = _position(V, F)
+    if not _satisfies(jumps, cond):
         raise NotInCellInterior("point is not even in the Schubert variety")
-    if not cell_interior(V, cond, F):
+    if jumps != cond.indices:
         raise NotInCellInterior(
             "point satisfies deeper incidences than the condition requires")
     k, m = V.k, V.ambient_dim
-    comp = _complement_columns(V.basis)
-    proj = inverse(V.basis.hstack(comp)).take_rows(range(k, m))
-    rows_out: list[list] = []
-    for j, i in enumerate(cond.indices, 1):
-        # columns of `alphas` are V-coordinates of a basis of V cap E_i
-        alphas = kernel(V.basis.hstack(F.prefix(i))).take_rows(range(k))
-        # rows cutting the image of E_i + V inside the complement coordinates
-        S = proj * F.prefix(i)
-        Q = kernel(S.transpose())
-        if Q.cols == 0:
+    functionals = {}
+    for r in range(cond.indices[0], m):
+        if r + 1 in jumps:
             continue
-        for ca in range(alphas.cols):
-            alpha = alphas.column(ca)
-            for cq in range(Q.cols):
-                q = Q.column(cq)
-                rows_out.append([alpha[c] * q[r]
-                                 for c in range(k) for r in range(m - k)])
+        mu_x = X[r]
+        for c, p in zip(cols, jumps):
+            if p > r + 1 and c[r]:
+                mu_x = [x - c[r] * y for x, y in zip(mu_x, X[p - 1])]
+        functionals[r] = _primitive(mu_x)
+    rows_out = [[x * y or _ZERO for x in _primitive(c[m:]) for y in q]
+                for c, i in zip(cols, cond.indices)
+                for r, q in functionals.items() if r >= i]
     constraints = Matrix(rows_out, shape=(len(rows_out), k * (m - k)))
     return TangentSpace(point=V, constraints=constraints)
 

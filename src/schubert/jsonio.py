@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .flags import BilinearForm, Flag, GroupKind
-from .grassmann import GrPoint, PermCondition, SchubertCondition, TransversalityCertificate
+from .grassmann import SchubertCondition, TransversalityCertificate
 from .linalg import Matrix, QuadExt
 from .poly import PolyQ
 from .wronski import EHReport, PolyPlane
@@ -27,9 +27,7 @@ __all__ = [
     "flag_from_json",
     "condition_to_json",
     "condition_from_json",
-    "perm_condition_to_json",
     "certificate_to_json",
-    "grpoint_to_json",
     "poly_to_json",
     "plane_to_json",
     "eh_report_to_json",
@@ -99,19 +97,9 @@ def condition_from_json(d: dict) -> SchubertCondition:
                              tuple(int(i) for i in d["indices"]))
 
 
-def perm_condition_to_json(c: PermCondition) -> dict:
-    return {"m": c.m, "perm": list(c.perm),
-            "descent_bound": list(c.descent_bound)}
-
-
 def certificate_to_json(c: TransversalityCertificate) -> dict:
     return {"transverse": c.transverse, "tangent_codim": c.tangent_codim,
             "codim_sum": c.codim_sum}
-
-
-def grpoint_to_json(p: GrPoint) -> dict:
-    return {"ambient_dim": p.ambient_dim, "k": p.k,
-            "basis": matrix_to_json(p.basis)}
 
 
 def poly_to_json(p: PolyQ) -> list:

@@ -81,10 +81,12 @@ def square_split(n: int) -> tuple[int, int]:
 class QuadExt:
     """An element ``a + b*sqrt(d)`` of the quadratic field Q(sqrt(d)).
 
-    ``d`` is kept squarefree (possibly negative); rational values normalize
-    to ``b == 0, d == 1`` so that equality and hashing agree with Fraction.
-    Arithmetic mixes freely with int and Fraction; combining elements of two
-    visibly different extensions raises ValueError.
+    ``d`` is square-reduced by :func:`square_split` (possibly negative), so
+    one value may be stored with two different ``d``; equality, hashing and
+    arithmetic treat such copies as the same number.  Rational values
+    normalize to ``b == 0, d == 1`` so that equality and hashing agree with
+    Fraction.  Arithmetic mixes freely with int and Fraction; combining
+    elements of two different extensions raises ValueError.
     """
 
     __slots__ = ("a", "b", "d")
@@ -117,20 +119,21 @@ class QuadExt:
             return QuadExt(other)
         return None
 
-    def _join_d(self, other: "QuadExt") -> int:
-        if self.b and other.b and self.d != other.d:
+    def _join_d(self, other: "QuadExt") -> tuple[int, Fraction]:
+        # The common d, and other's b over it: when d1*d2 == s*s (square_split
+        # left a large square inside d), b*sqrt(d2) == (b*s/|d1|)*sqrt(d1).
+        if not (self.b and other.b) or self.d == other.d:
+            return (self.d if self.b else other.d), other.b
+        prod = self.d * other.d
+        s = isqrt(prod) if prod > 0 else -1
+        if s * s != prod:
             raise ValueError(
                 f"cannot combine sqrt({self.d}) with sqrt({other.d})")
-        return self.d if self.b else other.d
+        return self.d, other.b * s / abs(self.d)
 
     @property
     def is_rational(self) -> bool:
         return not self.b
-
-    def as_fraction(self) -> Fraction:
-        if self.b:
-            raise ValueError(f"{self} is irrational")
-        return self.a
 
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.a, -self.b, self.d)
@@ -146,8 +149,8 @@ class QuadExt:
         o = self._mate(other)
         if o is None:
             return NotImplemented
-        d = self._join_d(o)
-        return QuadExt(self.a + o.a, self.b + o.b, d)
+        d, ob = self._join_d(o)
+        return QuadExt(self.a + o.a, self.b + ob, d)
 
     __radd__ = __add__
 
@@ -170,9 +173,9 @@ class QuadExt:
         o = self._mate(other)
         if o is None:
             return NotImplemented
-        d = self._join_d(o)
-        return QuadExt(self.a * o.a + d * self.b * o.b,
-                       self.a * o.b + self.b * o.a, d)
+        d, ob = self._join_d(o)
+        return QuadExt(self.a * o.a + d * self.b * ob,
+                       self.a * ob + self.b * o.a, d)
 
     __rmul__ = __mul__
 
@@ -188,28 +191,20 @@ class QuadExt:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = QuadExt(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- comparison / hashing ----------------------------------------------
+    def _key(self) -> tuple:
+        # a, b*b*d and the sign of b fix a + b*sqrt(d) whatever square d holds
+        return self.a, self.b * self.b * self.d, (self.b > 0) - (self.b < 0)
+
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+            return self._key() == other._key()
         if isinstance(other, (int, Fraction)):
             return not self.b and self.a == other
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.a) if not self.b else hash((self.a, self.b, self.d))
+        return hash(self.a) if not self.b else hash(self._key())
 
     def __bool__(self):
         return bool(self.a or self.b)
@@ -314,10 +309,6 @@ class Matrix:
     def to_rows(self) -> list[list]:
         return [list(row) for row in self._data]
 
-    def take_rows(self, idxs: Iterable[int]) -> "Matrix":
-        idxs = list(idxs)
-        return Matrix([self._data[i] for i in idxs], shape=(len(idxs), self._cols))
-
     def take_columns(self, idxs: Iterable[int]) -> "Matrix":
         idxs = list(idxs)
         return Matrix([[row[j] for j in idxs] for row in self._data],
@@ -381,16 +372,6 @@ class Matrix:
         if isinstance(other, (int, Fraction, QuadExt)):
             return self.scale(other)
         return NotImplemented
-
-    def __pow__(self, n: int):
-        if self._rows != self._cols:
-            raise ValueError("power of a non-square matrix")
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = Matrix.identity(self._rows)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def is_zero(self) -> bool:
         return all(not x for row in self._data for x in row)

@@ -139,6 +139,9 @@ def test_eh_check_rejects_large_m(capsys):
     code, data = run_json(capsys, "eh-check", "--k", "2", "--m", "9",
                           "--samples", "1", "--points", "0")
     assert code == 2
+    code, data = run_json(capsys, "eh-check", "--k", "2", "--m", "4",
+                          "--samples", "-3", "--points", "0")
+    assert code == 2 and "error" in data
 
 
 def test_dim_report_flag_manifold(capsys, tmp_path):

@@ -239,6 +239,20 @@ def test_quadext_rejects_mixed_extensions():
         QuadExt(F(0), F(1), 2) + QuadExt(F(0), F(1), 3)
 
 
+def test_quadext_equal_across_square_splits():
+    # square_split leaves squares of primes above its trial bound inside d,
+    # so one number can be stored over two different d
+    p, q = 100003, 100019
+    for sign in (1, -1):
+        x = QuadExt(F(1), F(1), sign * p * p * q)
+        y = QuadExt(F(1), F(p), sign * q)
+        assert x.d != y.d
+        assert x == y and hash(x) == hash(y)
+        assert x - y == 0 and not (x - y)
+        assert x + y == 2 * y and x * x == y * y
+        assert x != y.conjugate()
+
+
 def test_quadext_mixes_with_rationals():
     x = QuadExt(F(1), F(1), 5)
     assert x + 1 == QuadExt(F(2), F(1), 5)

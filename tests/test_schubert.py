@@ -156,6 +156,45 @@ def test_cell_interior_requires_membership():
                       Flag.coordinate(4))
 
 
+def _cap_dim_by_rank(V, flag, i):
+    """Reference intersection dimension: dim(V cap E_i) = k + i - rank([V | E_i])."""
+    return V.k + i - rank(V.basis.hstack(flag.prefix(i)))
+
+
+def test_membership_and_interior_match_rank_oracle():
+    # sparse seeded points and flags, so most points lie off the open cells
+    entries = [F(0), F(0), F(1), F(-1), F(2), F(1, 3)]
+    rng = random.Random(77)
+
+    def draw(rows, cols):
+        while True:
+            M = Matrix([[rng.choice(entries) for _ in range(cols)]
+                        for _ in range(rows)])
+            if rank(M) == cols:
+                return M
+
+    seen = set()
+    for _ in range(60):
+        m = rng.randint(2, 5)
+        k = rng.randint(1, m)
+        flag, V = Flag(m, draw(m, m)), GrPoint(draw(m, k))
+        dims = [_cap_dim_by_rank(V, flag, i) for i in range(m + 1)]
+        for indices in combinations(range(1, m + 1), k):
+            cond = SchubertCondition(k, m, indices)
+            member = all(dims[i] >= j for j, i in enumerate(indices, 1))
+            assert membership(V, cond, flag) == member
+            if not member:
+                with pytest.raises(NotMember):
+                    cell_interior(V, cond, flag)
+                seen.add("outside")
+                continue
+            interior = all(dims[i] == j and dims[i - 1] == j - 1
+                           for j, i in enumerate(indices, 1))
+            assert cell_interior(V, cond, flag) == interior
+            seen.add("interior" if interior else "boundary")
+    assert seen == {"outside", "boundary", "interior"}
+
+
 def test_cell_parametrization_lands_in_interior():
     rng = random.Random(3)
     for _ in range(25):
@@ -214,6 +253,7 @@ def test_tangent_rank_equals_codim_sampled():
             T = tangent_space(V, cond, flag)
             got = rank(T.constraints) if T.constraints.rows else 0
             assert got == codim(cond), (k, m, indices)
+            assert T.constraints.rows == codim(cond), (k, m, indices)
 
 
 # -- transversality certificates ------------------------------------------------------
