@@ -39,16 +39,25 @@ EXIT_DEGENERATE = 4
 
 _KIND_NAMES = {"sl": "SL", "sp": "Sp", "so-odd": "SO_odd", "so-even": "SO_even"}
 
+# Largest ambient dimension a --kind command accepts; flags and nilpotents
+# are dense m x m exact matrices, so memory and time grow fast beyond it.
+MAX_AMBIENT_DIM = 24
+
 
 def _kind_from_args(args) -> GroupKind:
     tag = _KIND_NAMES[args.kind]
     if tag == "SL":
         if args.m is None:
             raise ValueError("--kind sl requires --m")
-        return GroupKind.sl(args.m)
-    if args.n is None:
-        raise ValueError(f"--kind {args.kind} requires --n")
-    return GroupKind(tag, args.n)
+        kind = GroupKind.sl(args.m)
+    else:
+        if args.n is None:
+            raise ValueError(f"--kind {args.kind} requires --n")
+        kind = GroupKind(tag, args.n)
+    if kind.ambient_dim > MAX_AMBIENT_DIM:
+        raise ValueError(f"ambient dimension {kind.ambient_dim} exceeds "
+                         f"the limit of {MAX_AMBIENT_DIM}")
+    return kind
 
 
 def _rational_list(text: str) -> list[Fraction]:

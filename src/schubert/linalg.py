@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import NoSolution, NotNilpotent
@@ -38,8 +38,24 @@ Rational = Fraction
 # Trial-division bound for square extraction.  Beyond this we only test the
 # remaining cofactor for being a perfect square, so a square of a prime above
 # the bound can survive inside d.  That keeps n == s*s*d exactly true always,
-# and d genuinely squarefree whenever |n| < _TRIAL_BOUND**4.
+# and d genuinely squarefree whenever |n| < _TRIAL_BOUND**3 (the smallest
+# exception is 100003**2 * 100019).
 _TRIAL_BOUND = 100_000
+_BLOCK_PRIMES = 256
+
+
+@lru_cache(maxsize=1)
+def _prime_blocks() -> tuple[int, ...]:
+    """Products of _BLOCK_PRIMES consecutive primes up to _TRIAL_BOUND, built
+    on first use (not at import: it takes milliseconds)."""
+    sieve = bytearray([1]) * (_TRIAL_BOUND + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(_TRIAL_BOUND) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, _TRIAL_BOUND + 1, p)))
+    primes = [p for p, is_prime in enumerate(sieve) if is_prime]
+    return tuple(prod(primes[i:i + _BLOCK_PRIMES])
+                 for i in range(0, len(primes), _BLOCK_PRIMES))
 
 
 @lru_cache(maxsize=8192)
@@ -58,17 +74,22 @@ def square_split(n: int) -> tuple[int, int]:
     if root * root == n:
         return root, sign
     s, d = 1, 1
-    p = 2
-    while p <= _TRIAL_BOUND and p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
+    for block in _prime_blocks():
+        # the successive gcds g_1, g_2, ... hold the block's primes of
+        # multiplicity >= 1, >= 2, ...: g_i/g_(i+1) for odd i goes to d, the
+        # even-numbered g_i to s
+        g = gcd(n, block)
+        odd = True
+        while g > 1:
+            n //= g
+            nxt = gcd(n, g)
+            if odd:
+                d *= g // nxt
+            else:
+                s *= g
+            g, odd = nxt, not odd
+        if n == 1:
+            break
     if n > 1:
         root = isqrt(n)
         if root * root == n:
@@ -458,12 +479,14 @@ def _integer_rows(M: Matrix):
     return out
 
 
-def _bareiss_rank(a: list[list[int]], nc: int) -> int:
-    """Fraction-free (Bareiss) elimination rank of an integer row list."""
+def _bareiss_pivots(a: list[list[int]], nc: int) -> list[int]:
+    """Pivot columns of an integer row list, by fraction-free (Bareiss)
+    elimination; they are those of the rref, and their count is the rank."""
     nr = len(a)
-    r = 0
+    pivots: list[int] = []
     prev = 1
     for c in range(nc):
+        r = len(pivots)
         if r == nr:
             break
         p = next((i for i in range(r, nr) if a[i][c]), None)
@@ -479,14 +502,14 @@ def _bareiss_rank(a: list[list[int]], nc: int) -> int:
                 row[j] = (piv * row[j] - x * piv_row[j]) // prev
             row[c] = 0
         prev = piv
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
 
 
 def rank(M: Matrix) -> int:
     ints = _integer_rows(M)
     if ints is not None:
-        return _bareiss_rank(ints, M.cols)
+        return len(_bareiss_pivots(ints, M.cols))
     return len(_rref_rows(M)[1])
 
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 
 from .errors import DegenerateConfiguration, ZeroPolynomial
 from .flags import Flag, osculating_flag
 from .grassmann import GrPoint, SchubertCondition, codim
-from .linalg import Matrix, rank, rref, simplify_scalar, solve_quadratic
+from .linalg import (Matrix, _bareiss_pivots, rank, rref, simplify_scalar,
+                     solve_quadratic)
 from .poly import PolyQ
 
 __all__ = [
@@ -70,17 +71,41 @@ class PolyPlane:
         return Matrix(rows, shape=(self.k, self.m))
 
 
-def _poly_det(grid: list[list[PolyQ]]) -> PolyQ:
+def _integer_coeffs(p: PolyQ) -> tuple[list[int], int] | None:
+    """p's coefficients times the lcm of their denominators, with that lcm;
+    None when a coefficient is irrational."""
+    if not all(isinstance(c, Fraction) for c in p.coeffs):
+        return None
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs], scale
+
+
+def _poly_mul(p: list, q: list) -> list:
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _poly_det(grid: list[list[list]]) -> list:
+    """Determinant of a square matrix of polynomials, each a coefficient list
+    (lowest degree first) of ints or exact scalars, by first-row expansion."""
     n = len(grid)
     if n == 1:
         return grid[0][0]
-    out = PolyQ.zero()
+    out: list = []
     for c in range(n):
-        if grid[0][c].is_zero:
+        if not grid[0][c]:
             continue
         minor = [row[:c] + row[c + 1:] for row in grid[1:]]
-        term = grid[0][c] * _poly_det(minor)
-        out = out + term if c % 2 == 0 else out - term
+        term = _poly_mul(grid[0][c], _poly_det(minor))
+        out += [0] * (len(term) - len(out))
+        for i, x in enumerate(term):
+            out[i] = out[i] - x if c % 2 else out[i] + x
     return out
 
 
@@ -88,12 +113,24 @@ def wronskian(plane: PolyPlane) -> PolyQ:
     """det of the k x k matrix of derivatives (row a holds the a-th derivative).
 
     Nonzero for any plane, of degree at most k*(m-k) after the forced factor
-    structure; invariant up to scale under change of basis.
+    structure; invariant up to scale under change of basis.  For a rational
+    plane each basis polynomial is scaled by the lcm of its denominators, the
+    determinant is taken over Z[t], and the result divided once by the
+    product of the scales; a plane over Q(sqrt(d)) takes the same determinant
+    of its own coefficients.
     """
-    grid = [list(plane.basis)]
+    scaled = [_integer_coeffs(p) for p in plane.basis]
+    rational = all(sc is not None for sc in scaled)
+    row = ([cs for cs, _ in scaled] if rational
+           else [list(p.coeffs) for p in plane.basis])
+    grid = [row]
     for _ in range(plane.k - 1):
-        grid.append([p.derivative() for p in grid[-1]])
-    return _poly_det(grid)
+        grid.append([[j * c for j, c in enumerate(cs)][1:] for cs in grid[-1]])
+    det = _poly_det(grid)
+    if rational:
+        scale = prod(s for _, s in scaled)
+        det = [Fraction(c, scale) for c in det]
+    return PolyQ(det)
 
 
 def vanishing_order(f: PolyQ, t0) -> int:
@@ -110,23 +147,41 @@ def vanishing_order(f: PolyQ, t0) -> int:
         f = q
 
 
+def _taylor_shift(cs: list, u) -> list:
+    """Coefficients of p(x + u) from those of p (lowest degree first)."""
+    cs = list(cs)
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += u * cs[j + 1]
+    return cs
+
+
 def plane_vanishing_orders(plane: PolyPlane, t0) -> tuple[int, ...]:
     """The k distinct vanishing orders at t0 achieved by nonzero elements.
 
-    Row-reduces the k x m jet matrix (row c holds the derivative values of
-    basis polynomial c); the pivot columns are exactly the achieved orders.
+    They are the pivot columns of the k x m jet matrix, whose row c holds the
+    Taylor coefficients of basis polynomial c at t0; nonzero row and column
+    scales leave them unchanged.  For a rational plane and t0 = u/v each row
+    is integral: with p scaled by the lcm of its denominators,
+    v^(m-1)*p(x/v) is shifted by u and its x^j coefficient multiplied by v^j,
+    and the pivots come from fraction-free elimination.  A plane over
+    Q(sqrt(d)) is shifted by t0 itself and row-reduced exactly.
     """
     t0 = Fraction(t0)
+    m = plane.m
+    scaled = [_integer_coeffs(p) for p in plane.basis]
+    if any(sc is None for sc in scaled):
+        rows = [_taylor_shift(list(p.coeffs) + [0] * (m - len(p.coeffs)), t0)
+                for p in plane.basis]
+        return rref(Matrix(rows, shape=(plane.k, m)))[1]
+    u, v = t0.numerator, t0.denominator
+    vp = [v ** j for j in range(m)]
     rows = []
-    for p in plane.basis:
-        q = p
-        vals = []
-        for _ in range(plane.m):
-            vals.append(q(t0))
-            q = q.derivative()
-        rows.append(vals)
-    _, pivots = rref(Matrix(rows, shape=(plane.k, plane.m)))
-    return tuple(pivots)
+    for cs, _ in scaled:
+        cs = cs + [0] * (m - len(cs))
+        shifted = _taylor_shift([c * vp[m - 1 - i] for i, c in enumerate(cs)], u)
+        rows.append([c * vp[j] for j, c in enumerate(shifted)])
+    return tuple(_bareiss_pivots(rows, m))
 
 
 def ramification_condition(plane: PolyPlane, t0) -> SchubertCondition:

@@ -1,11 +1,14 @@
 """Command-line behavior: exit codes, JSON payloads, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from schubert import cli
 from schubert.cli import main
 
 
@@ -212,6 +215,22 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert first == second
 
 
+def test_kind_commands_reject_too_large_ambient_dimension(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a flag before the size check")
+
+    # the check must fire before any construction
+    monkeypatch.setattr(cli, "curve_point", refuse)
+    monkeypatch.setattr(cli, "osculating_flag", refuse)
+    limit = cli.MAX_AMBIENT_DIM
+    code, data = run_json(capsys, "curve", "--kind", "sl",
+                          "--m", str(limit + 1), "--t", "0")
+    assert code == 2 and str(limit) in data["error"]
+    code, data = run_json(capsys, "osculating-flag", "--kind", "so-odd",
+                          "--n", str(limit // 2), "--t", "1")
+    assert code == 2 and str(limit + 1) in data["error"]
+
+
 def test_env_var_overrides_format(capsys, monkeypatch):
     monkeypatch.setenv("SCHUBERT_OUTPUT", "plain")
     code, out = run_cli(capsys, "--format", "json", "curve", "--kind", "sl",
@@ -236,9 +255,15 @@ def test_plain_format_flag(capsys):
 
 
 def test_installed_entry_point_runs():
+    # the child imports the same package, also when pytest alone put it on
+    # sys.path (pyproject's pythonpath)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "schubert.cli", "curve", "--kind", "sp",
          "--n", "2", "--t", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["point"] == ["1", "2", "2", "-4/3"]

@@ -4,6 +4,7 @@ exponentials against the closed-form series, quadratic roots resubstituted."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -209,6 +210,49 @@ def test_square_split_reconstructs_input():
     big = 37 * 10**40 + 1
     s, d = square_split(big)
     assert s * s * d == big
+
+
+def _square_split_by_trial_division(n):
+    # reference: trial division by 2 and every odd number up to 10**5, then
+    # a perfect-square test of the cofactor
+    if n == 0:
+        return 1, 0
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    root = isqrt(n)
+    if root * root == n:
+        return root, sign
+    s, d, p = 1, 1, 2
+    while p <= 100_000 and p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+        p += 1 if p == 2 else 2
+    if n > 1:
+        root = isqrt(n)
+        if root * root == n:
+            s *= root
+        else:
+            d *= n
+    return s, sign * d
+
+
+def test_square_split_matches_trial_division():
+    rng = random.Random(29)
+    below, above = 99_991, 100_003  # the primes next to 10**5
+    inputs = [0, 1, -1, 4, -4, 10**12, 2**61, -(3**40),
+              below ** 2, below ** 3, -(below ** 2) * 6, below ** 2 * above,
+              above ** 2, -(above ** 2), above ** 2 * 7, above ** 3,
+              above ** 2 * 100_019, below ** 2 * above ** 2 * 5]
+    inputs += [rng.getrandbits(200) * rng.choice((1, -1)) for _ in range(40)]
+    inputs += [rng.choice((1, -1)) * rng.randint(1, 10**6) ** 2
+               * rng.choice((2, 3, 12, 98, below)) ** rng.randint(1, 5)
+               * rng.getrandbits(60) for _ in range(40)]
+    for n in inputs:
+        assert square_split(n) == _square_split_by_trial_division(n), n
 
 
 def test_quadext_normalization():
