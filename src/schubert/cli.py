@@ -29,7 +29,7 @@ from .grassmann import (PermCondition, SchubertCondition, codim,
                         condition_codim, expected_dim_report,
                         flag_manifold_dim, iota, pad_to_zero_dimensional,
                         small_solver_gr24, transversality_certificate)
-from .wronski import check_eh_identity, random_plane
+from .wronski import _eh_report, random_plane, wronskian
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
@@ -42,6 +42,8 @@ _KIND_NAMES = {"sl": "SL", "sp": "Sp", "so-odd": "SO_odd", "so-even": "SO_even"}
 # Largest ambient dimension a --kind command accepts; flags and nilpotents
 # are dense m x m exact matrices, so memory and time grow fast beyond it.
 MAX_AMBIENT_DIM = 24
+# Largest eh-check --samples; each sample costs a few ms at m = 8.
+MAX_EH_SAMPLES = 1000
 
 
 def _kind_from_args(args) -> GroupKind:
@@ -187,16 +189,17 @@ def cmd_eh_check(args):
     k, m = args.k, args.m
     if not (1 <= k < m <= 8):
         raise ValueError("need 1 <= k < m <= 8")
-    if args.samples < 0:
-        raise ValueError("--samples must be >= 0")
+    if not 0 <= args.samples <= MAX_EH_SAMPLES:
+        raise ValueError(f"--samples must be between 0 and {MAX_EH_SAMPLES}")
     ts = _rational_list(args.points)
     rng = random.Random(args.seed)
     failures = []
     checked = 0
     for idx in range(args.samples):
         plane = random_plane(k, m, rng)
+        W = wronskian(plane)
         for t in ts:
-            rep = check_eh_identity(plane, t)
+            rep = _eh_report(plane, W, t)
             checked += 1
             if not rep.equal:
                 failures.append({

@@ -11,7 +11,7 @@ Supported groups act on C^m for m = ambient dimension:
                  or form is attached to this kind.
 
 All osculating flags here are exact: curve entries are polynomials over Q,
-differentiated symbolically and evaluated at rational points.
+and their derivatives at rational points are computed over Z.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
+from operator import mul
 
-from .errors import DimensionMismatch, NotNilpotent, UnsupportedGroup
-from .linalg import Matrix, exp_nilpotent, rank
-from .poly import PolyQ
+from .errors import DimensionMismatch, UnsupportedGroup
+from .linalg import (Matrix, _bareiss_pivots, _integer_matrix, _integer_rows,
+                     _nilpotent_powers, _rref_rows, exp_nilpotent, rank)
+from .poly import PolyQ, _integer_coeffs
 
 __all__ = [
     "GroupKind",
@@ -173,16 +175,28 @@ def osculating_flag(kind: GroupKind, t) -> Flag:
 
     Column i holds the (i-1)-st derivative of the curve; the basis matrix is
     invertible for every t because the curve entries span all polynomials of
-    degree below m.
+    degree below m.  With t = u/v and curve entry j equal to
+    (sum_k n_k t^k) / D_j for integers n_k, its i-th derivative (0-indexed)
+    at t is
+
+        sum_k n_k * k!/(k-i)! * u^(k-i) * v^(m-1-k+i) / (D_j * v^(m-1)),
+
+    summed over Z with zero coefficients skipped.
     """
     t = Fraction(t)
-    ps = list(curve_polynomials(kind))
+    u, v = t.numerator, t.denominator
     m = kind.ambient_dim
-    cols = []
-    for _ in range(m):
-        cols.append([p(t) for p in ps])
-        ps = [p.derivative() for p in ps]
-    return Flag(m, Matrix.from_columns(cols, rows=m))
+    up = [u ** e for e in range(m)]
+    vp = [v ** e for e in range(m)]
+    rows = []
+    for p in curve_polynomials(kind):
+        ns, scale = _integer_coeffs(p)
+        terms = [(k, n) for k, n in enumerate(ns) if n]
+        den = scale * vp[m - 1]
+        rows.append([Fraction(sum(n * perm(k, i) * up[k - i] * vp[m - 1 - k + i]
+                                  for k, n in terms if k >= i), den)
+                     for i in range(m)])
+    return Flag(m, Matrix(rows, shape=(m, m)))
 
 
 # -- bilinear forms ----------------------------------------------------------
@@ -212,18 +226,26 @@ def is_isotropic_flag(flag: Flag, form: BilinearForm) -> bool:
     """Whether the i-dim subspace pairs to zero with the (m-i)-dim one, all i.
 
     Equivalently, with P = basis^T * gram * basis, every entry P[a][b] with
-    (1-indexed) a + b <= m vanishes.
+    (1-indexed) a + b <= m vanishes.  For a rational basis and Gram matrix
+    P is formed over Z from the basis columns each scaled to integers and
+    the Gram matrix scaled by its common denominator; positive scalings
+    leave the zero pattern of P unchanged.
     """
     m = flag.ambient_dim
     if form.ambient_dim != m:
         raise DimensionMismatch(
             f"flag in dimension {m}, form in dimension {form.ambient_dim}")
-    P = flag.basis.transpose() * form.gram * flag.basis
-    for i in range(m):
-        for j in range(m - 1 - i):
-            if P[i, j]:
-                return False
-    return True
+    cols = _integer_rows(flag.basis.transpose())
+    gram = _integer_matrix(form.gram)
+    if cols is None or gram is None:
+        P = flag.basis.transpose() * form.gram * flag.basis
+        return not any(P[i, j] for i in range(m) for j in range(m - 1 - i))
+    nonzeros = [[(b, g) for b, g in enumerate(row) if g] for row in gram[0]]
+    # column j of gram * basis, for the columns some pairing needs
+    gcols = [[sum(g * col[b] for b, g in row) for row in nonzeros]
+             for col in cols[:m - 1]]
+    return not any(sum(map(mul, cols[i], gcols[j]))
+                   for i in range(m) for j in range(m - 1 - i))
 
 
 # -- principal nilpotents -----------------------------------------------------
@@ -262,15 +284,12 @@ def principal_nilpotent(kind: GroupKind) -> Matrix:
 
 
 def nilpotency_index(N: Matrix) -> int:
-    """The least p >= 1 with N^p = 0; NotNilpotent when there is none."""
-    if N.rows != N.cols:
-        raise NotNilpotent("only square matrices can be nilpotent")
-    P = Matrix.identity(N.rows)
-    for p in range(1, N.rows + 1):
-        P = P * N
-        if P.is_zero():
-            return p
-    raise NotNilpotent(f"matrix power N^{N.rows} is nonzero")
+    """The least p >= 1 with N^p = 0; NotNilpotent when there is none.
+
+    One more than the number of nonzero powers that the power loop shared
+    with :func:`exp_nilpotent` lists.
+    """
+    return len(_nilpotent_powers(N)[1]) + 1
 
 
 def exp_translate_flag(kind: GroupKind, t) -> Flag:
@@ -286,14 +305,25 @@ def exp_translate_flag(kind: GroupKind, t) -> Flag:
 
 
 def flags_equal(F: Flag, G: Flag) -> bool:
-    """Whether two bases present the same flag (equal prefix spans for all i)."""
+    """Whether two bases present the same flag (equal prefix spans for all i).
+
+    That holds iff F^-1 * G is upper triangular.  One elimination of
+    [F | G], fraction-free on integer-scaled rows or Gauss-Jordan when an
+    entry is irrational, leaves rows E * [F | G] with E * F upper triangular
+    and invertible, so it is enough that the strictly lower part of E * G
+    vanishes.
+    """
     if F.ambient_dim != G.ambient_dim:
         raise DimensionMismatch(
             f"flags in dimensions {F.ambient_dim} and {G.ambient_dim}")
-    for i in range(1, F.ambient_dim + 1):
-        if rank(F.prefix(i).hstack(G.prefix(i))) != i:
-            return False
-    return True
+    m = F.ambient_dim
+    both = F.basis.hstack(G.basis)
+    rows = _integer_rows(both)
+    if rows is not None:
+        _bareiss_pivots(rows, 2 * m)
+    else:
+        rows = _rref_rows(both)[0]
+    return not any(rows[i][m + j] for j in range(m) for i in range(j + 1, m))
 
 
 # -- random isotropic flags ---------------------------------------------------

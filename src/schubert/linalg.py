@@ -460,23 +460,40 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return Matrix(a, shape=(M.rows, M.cols)), tuple(pivots)
 
 
-def _integer_rows(M: Matrix):
-    """Row-scaled copy of M with int entries, or None if any entry is
-    irrational.  Row scaling by the denominator lcm preserves rank."""
+def _rational_rows(M: Matrix):
+    """M's rows with every entry a Fraction, or None if any is irrational."""
     out = []
     for row in M.to_rows():
-        vals = []
-        for x in row:
+        for j, x in enumerate(row):
             if isinstance(x, QuadExt):
                 if x.b:
                     return None
-                x = x.a
-            elif isinstance(x, int):
-                x = Fraction(x)
-            vals.append(x)
-        scale = lcm(*(x.denominator for x in vals)) if vals else 1
-        out.append([x.numerator * (scale // x.denominator) for x in vals])
+                row[j] = x.a
+        out.append(row)
     return out
+
+
+def _scaled(row: Sequence[Fraction], scale: int) -> list[int]:
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _integer_rows(M: Matrix):
+    """Row-scaled copy of M with int entries, or None if any entry is
+    irrational.  Row scaling by the denominator lcm preserves rank."""
+    rows = _rational_rows(M)
+    if rows is None:
+        return None
+    return [_scaled(row, lcm(*(x.denominator for x in row))) for row in rows]
+
+
+def _integer_matrix(M: Matrix):
+    """``(D*M as int rows, D)`` for the lcm D of all of M's denominators, or
+    None if any entry is irrational."""
+    rows = _rational_rows(M)
+    if rows is None:
+        return None
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [_scaled(row, scale) for row in rows], scale
 
 
 def _bareiss_pivots(a: list[list[int]], nc: int) -> list[int]:
@@ -564,27 +581,62 @@ def det(M: Matrix) -> Scalar:
     return out
 
 
-def exp_nilpotent(N: Matrix, t) -> Matrix:
-    """``exp(t*N)`` for nilpotent ``N``, as the finite sum of ``t^j N^j / j!``.
+def _nilpotent_powers(N: Matrix) -> tuple[int, list[list[list]]]:
+    """``(D, [P_1, ..., P_J])`` with ``P_j = (D*N)^j`` as row lists: the
+    nonzero powers of D*N, so that N's nilpotency index is J + 1.
 
-    Raises NotNilpotent when ``N^rows != 0``.
+    D is the lcm of N's denominators, making every P_j integral; when an
+    entry is irrational, D is 1 and the P_j hold exact scalars.  Each product
+    runs over the nonzeros of D*N's rows, listed once, so a matrix with a
+    bounded number of nonzeros per row costs O(m^2) per power.  Raises
+    NotNilpotent for a non-square N or when ``N^rows != 0``.
     """
     if N.rows != N.cols:
         raise NotNilpotent("only square matrices can be nilpotent")
-    t = Fraction(t)
     n = N.rows
-    out = Matrix.identity(n)
-    P = Matrix.identity(n)
-    tp = Fraction(1)
-    for j in range(1, n + 1):
-        P = P * N
-        if P.is_zero():
-            return out
-        if j == n:
+    scaled = _integer_matrix(N)
+    A, D = scaled if scaled is not None else (N.to_rows(), 1)
+    nonzeros = [[(c, x) for c, x in enumerate(row) if x] for row in A]
+    powers: list[list[list]] = []
+    P = A
+    while any(any(row) for row in P):
+        if len(powers) == n - 1:
             raise NotNilpotent(f"matrix power N^{n} is nonzero")
-        tp *= t
-        out = out + P.scale(tp / factorial(j))
-    return out
+        powers.append(P)
+        nxt = []
+        for row in P:
+            out = [0] * n
+            for k, x in enumerate(row):
+                if x:
+                    for c, y in nonzeros[k]:
+                        out[c] += x * y
+            nxt.append(out)
+        P = nxt
+    return D, powers
+
+
+def exp_nilpotent(N: Matrix, t) -> Matrix:
+    """``exp(t*N)`` for nilpotent ``N``, as the finite sum of ``t^j N^j / j!``.
+
+    With ``t = u/v`` and the powers ``P_j = (D*N)^j`` of
+    :func:`_nilpotent_powers`, the sum is
+    ``sum_j u^j (vD)^(J-j) (J!/j!) P_j``, integral for rational N, divided
+    once by ``(vD)^J J!``.  Raises NotNilpotent when ``N^rows != 0``.
+    """
+    D, powers = _nilpotent_powers(N)
+    t = Fraction(t)
+    n, J = N.rows, len(powers)
+    w = t.denominator * D
+    den = w ** J * factorial(J)
+    acc = [[den if r == c else 0 for c in range(n)] for r in range(n)]
+    for j, P in enumerate(powers, 1):
+        coef = t.numerator ** j * w ** (J - j) * (factorial(J) // factorial(j))
+        for row, prow in zip(acc, P):
+            for c, x in enumerate(prow):
+                if x:
+                    row[c] += coef * x
+    return Matrix([[Fraction(x, den) if isinstance(x, int) else x / den
+                    for x in row] for row in acc], shape=(n, n))
 
 
 def solve_quadratic(a, b, c) -> list[QuadExt]:

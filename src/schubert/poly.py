@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .linalg import QuadExt, Scalar
+from .linalg import QuadExt, Scalar, _scaled
 
 __all__ = ["PolyQ"]
 
@@ -156,3 +157,12 @@ class PolyQ:
             else:
                 parts.append(f"{c}*t^{j}")
         return " + ".join(parts)
+
+
+def _integer_coeffs(p: PolyQ) -> tuple[list[int], int] | None:
+    """p's coefficients times the lcm of their denominators, with that lcm;
+    None when a coefficient is irrational."""
+    if not all(isinstance(c, Fraction) for c in p.coeffs):
+        return None
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    return _scaled(p.coeffs, scale), scale

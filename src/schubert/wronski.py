@@ -21,14 +21,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, prod
 
 from .errors import DegenerateConfiguration, ZeroPolynomial
 from .flags import Flag, osculating_flag
 from .grassmann import GrPoint, SchubertCondition, codim
 from .linalg import (Matrix, _bareiss_pivots, rank, rref, simplify_scalar,
                      solve_quadratic)
-from .poly import PolyQ
+from .poly import PolyQ, _integer_coeffs
 
 __all__ = [
     "PolyPlane",
@@ -69,15 +69,6 @@ class PolyPlane:
             row = list(p.coeffs) + [Fraction(0)] * (self.m - len(p.coeffs))
             rows.append(row)
         return Matrix(rows, shape=(self.k, self.m))
-
-
-def _integer_coeffs(p: PolyQ) -> tuple[list[int], int] | None:
-    """p's coefficients times the lcm of their denominators, with that lcm;
-    None when a coefficient is irrational."""
-    if not all(isinstance(c, Fraction) for c in p.coeffs):
-        return None
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (scale // c.denominator) for c in p.coeffs], scale
 
 
 def _poly_mul(p: list, q: list) -> list:
@@ -201,11 +192,17 @@ class EHReport:
     equal: bool
 
 
+def _eh_report(plane: PolyPlane, W: PolyQ, t0) -> EHReport:
+    """check_eh_identity with the plane's Wronskian W given, so that a
+    caller checking many points computes it once."""
+    c = codim(ramification_condition(plane, t0))
+    w = vanishing_order(W, t0)
+    return EHReport(codim=c, wronski_order=w, equal=(c == w))
+
+
 def check_eh_identity(plane: PolyPlane, t0) -> EHReport:
     """Compare the ramification codimension with the Wronskian's root order."""
-    c = codim(ramification_condition(plane, t0))
-    w = vanishing_order(wronskian(plane), t0)
-    return EHReport(codim=c, wronski_order=w, equal=(c == w))
+    return _eh_report(plane, wronskian(plane), t0)
 
 
 def plane_to_grpoint(plane: PolyPlane) -> GrPoint:

@@ -147,6 +147,22 @@ def test_eh_check_rejects_large_m(capsys):
     assert code == 2 and "error" in data
 
 
+def test_eh_check_rejects_too_many_samples(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew a plane")
+
+    # validation alone: no plane is ever drawn for a rejected size
+    monkeypatch.setattr(cli, "random_plane", refuse)
+    limit = cli.MAX_EH_SAMPLES
+    assert limit >= 100  # the default
+    code, data = run_json(capsys, "eh-check", "--k", "2", "--m", "4",
+                          "--samples", str(limit + 1), "--points", "0")
+    assert code == 2 and str(limit) in data["error"]
+    with pytest.raises(AssertionError, match="drew a plane"):
+        main(["eh-check", "--k", "2", "--m", "4", "--samples", str(limit),
+              "--points", "0"])
+
+
 def test_dim_report_flag_manifold(capsys, tmp_path):
     problem = {"ambient": {"m": 5, "dims": [1, 3]},
                "conditions": [{"perm": [3, 2, 5, 1, 4]},
@@ -205,6 +221,17 @@ def test_pad_colliding_fresh_exits_2(capsys):
     code, data = run_json(capsys, "pad", "--k", "2", "--m", "4",
                           "--condition", "2,4@0", "--fresh", "0,1,2")
     assert code == 2
+
+
+def test_flags_commands_match_recorded_bytes(capsys):
+    # stdout recorded from the Fraction-matrix and PolyQ-derivative
+    # implementation of the flags layer; entries print exactly, so a wrong
+    # value anywhere is a byte difference
+    golden = Path(__file__).with_name("data") / "flags_cli_golden.json"
+    for case in json.loads(golden.read_text(encoding="utf-8")):
+        code, out = run_cli(capsys, *case["argv"])
+        assert code == 0
+        assert out == case["stdout"], case["argv"]
 
 
 def test_identical_invocations_are_byte_identical(capsys):

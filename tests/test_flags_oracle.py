@@ -1,0 +1,195 @@
+"""The integer paths of the flags layer against their definitions.
+
+Each reference below is the plain computation over Q or Q(sqrt(d)): prefix
+ranks for flags_equal, the Matrix-power series for exp_nilpotent and
+nilpotency_index, PolyQ derivatives and evaluation for osculating_flag, and
+B^T * G * B for is_isotropic_flag.  Inputs are seeded; the nilpotents are
+dense (strictly lower triangular, conjugated by a random invertible matrix),
+and flag pairs and isotropic bases come both unchanged and perturbed.
+"""
+
+import random
+from fractions import Fraction
+from math import factorial
+
+import pytest
+
+from schubert.errors import NotNilpotent
+from schubert.flags import (Flag, GroupKind, curve_polynomials, flags_equal,
+                            gram_matrix, is_isotropic_flag, nilpotency_index,
+                            osculating_flag, principal_nilpotent,
+                            random_isotropic_flag)
+from schubert.linalg import Matrix, QuadExt, exp_nilpotent, inverse, rank
+
+F = Fraction
+T_VALUES = [F(0), F(1), F(-2), F(3, 4), F(-5, 3)]
+D = 5  # the Q(sqrt(d)) inputs live in Q(sqrt(5))
+
+
+# -- references ----------------------------------------------------------------
+
+
+def ref_flags_equal(f, g):
+    return all(rank(f.prefix(i).hstack(g.prefix(i))) == i
+               for i in range(1, f.ambient_dim + 1))
+
+
+def ref_exp_nilpotent(N, t):
+    n = N.rows
+    out = Matrix.identity(n)
+    P = Matrix.identity(n)
+    for j in range(1, n + 1):
+        P = P * N
+        if P.is_zero():
+            return out
+        out = out + P.scale(t ** j / factorial(j))
+    raise NotNilpotent(f"matrix power N^{n} is nonzero")
+
+
+def ref_nilpotency_index(N):
+    P = Matrix.identity(N.rows)
+    for p in range(1, N.rows + 1):
+        P = P * N
+        if P.is_zero():
+            return p
+    raise NotNilpotent(f"matrix power N^{N.rows} is nonzero")
+
+
+def ref_osculating_basis(kind, t):
+    ps = list(curve_polynomials(kind))
+    cols = []
+    for _ in range(kind.ambient_dim):
+        cols.append([p(t) for p in ps])
+        ps = [p.derivative() for p in ps]
+    return Matrix.from_columns(cols)
+
+
+def ref_is_isotropic(flag, form):
+    P = flag.basis.transpose() * form.gram * flag.basis
+    m = flag.ambient_dim
+    return all(not P[i, j] for i in range(m) for j in range(m - 1 - i))
+
+
+# -- seeded inputs ---------------------------------------------------------------
+
+
+def _scalar(rng, d):
+    a = F(rng.randint(-9, 9), rng.randint(1, 9))
+    if d is None:
+        return a
+    return QuadExt(a, F(rng.randint(-9, 9), rng.randint(1, 9)), d)
+
+
+def _invertible(rng, n, d):
+    while True:
+        S = Matrix([[_scalar(rng, d) for _ in range(n)] for _ in range(n)])
+        if rank(S) == n:
+            return S
+
+
+def _dense_nilpotent(rng, n, d):
+    L = Matrix([[_scalar(rng, d) if i > j else F(0) for j in range(n)]
+                for i in range(n)])
+    S = _invertible(rng, n, d)
+    return S * L * inverse(S)
+
+
+def _upper(rng, n, d):
+    return Matrix([[_scalar(rng, d) if i < j else F(rng.randint(1, 5)) if i == j
+                    else F(0) for j in range(n)] for i in range(n)])
+
+
+def _perturbed(rng, M, d):
+    rows = M.to_rows()
+    i, j = rng.randrange(M.rows), rng.randrange(M.cols)
+    rows[i][j] = rows[i][j] + _scalar(rng, d)
+    return Matrix(rows)
+
+
+# -- tests -------------------------------------------------------------------------
+
+
+def test_exp_nilpotent_and_index_match_power_series():
+    rng = random.Random(11)
+    cases = [principal_nilpotent(k) for k in
+             (GroupKind.sl(5), GroupKind.sp(2), GroupKind.so_odd(2),
+              GroupKind.so_even(3))]
+    cases += [_dense_nilpotent(rng, n, None) for n in (1, 2, 3, 4, 5, 5)]
+    cases += [_dense_nilpotent(rng, n, D) for n in (2, 3)]
+    dense = 0
+    for N in cases:
+        dense += sum(1 for i in range(N.rows) for j in range(N.cols)
+                     if j >= i and N[i, j])
+        assert nilpotency_index(N) == ref_nilpotency_index(N)
+        for t in T_VALUES:
+            assert exp_nilpotent(N, t) == ref_exp_nilpotent(N, t), (N, t)
+    assert dense > 0  # the conjugated cases are not lower triangular
+
+
+def test_not_nilpotent_from_both_entry_points():
+    rng = random.Random(12)
+    cases = [Matrix.identity(3), _invertible(rng, 3, None),
+             Matrix([[0, 1], [1, 0]]),          # invertible, zero diagonal
+             Matrix([[1, 0], [0, 0]]),          # singular, idempotent
+             Matrix([[0, 2, 0], [0, 0, 0]])]    # not square
+    for N in cases:
+        with pytest.raises(NotNilpotent):
+            exp_nilpotent(N, F(1, 2))
+        with pytest.raises(NotNilpotent):
+            nilpotency_index(N)
+
+
+def test_osculating_flag_matches_polynomial_derivatives():
+    kinds = [GroupKind.sl(m) for m in range(2, 8)]
+    kinds += [GroupKind.sp(n) for n in (1, 2, 3)]
+    kinds += [GroupKind.so_odd(n) for n in (1, 2, 3)]
+    for kind in kinds:
+        for t in T_VALUES:
+            assert osculating_flag(kind, t).basis == ref_osculating_basis(
+                kind, t), (kind, t)
+
+
+def test_flags_equal_matches_prefix_ranks():
+    rng = random.Random(13)
+    verdicts = {True: 0, False: 0}
+    for trial in range(40):
+        d = D if trial % 3 == 0 else None
+        n = rng.randint(1, 3 if d else 5)
+        f = Flag(n, _invertible(rng, n, d))
+        g = f.basis * _upper(rng, n, d)  # the same flag, another basis
+        if trial % 2:
+            g = _perturbed(rng, g, d)
+        if rank(g) < n:
+            continue
+        g = Flag(n, g)
+        want = ref_flags_equal(f, g)
+        assert flags_equal(f, g) == want == ref_flags_equal(g, f)
+        assert flags_equal(g, f) == want
+        verdicts[want] += 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 5
+
+
+def test_is_isotropic_flag_matches_gram_product():
+    rng = random.Random(14)
+    kinds = [GroupKind.sp(1), GroupKind.sp(2), GroupKind.sp(3),
+             GroupKind.so_odd(1), GroupKind.so_odd(2), GroupKind.so_odd(3)]
+    verdicts = {True: 0, False: 0}
+    for trial in range(36):
+        kind = kinds[trial % len(kinds)]
+        m = kind.ambient_dim
+        form = gram_matrix(kind)
+        B = (random_isotropic_flag(kind, trial) if trial % 3 == 0
+             else osculating_flag(kind, F(rng.randint(-9, 9), rng.randint(1, 9))))
+        B = B.basis
+        d = D if trial % 5 < 2 and m <= 4 else None
+        if d:
+            B = B * _upper(rng, m, d)  # an isotropic basis over Q(sqrt(5))
+        if trial % 2:
+            B = _perturbed(rng, B, d)
+        if rank(B) < m:
+            continue
+        flag = Flag(m, B)
+        want = ref_is_isotropic(flag, form)
+        assert is_isotropic_flag(flag, form) == want, (kind, trial)
+        verdicts[want] += 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 5

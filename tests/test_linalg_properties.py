@@ -1,8 +1,10 @@
-"""Property tests of the elimination layer against sympy's DomainMatrix.
+"""Property tests of the elimination layer and of QuadExt arithmetic.
 
 Small matrices over Q and Q(sqrt(d)) are generated by hypothesis; rank,
 det, rref with its pivots, nullity, M * kernel(M) == 0 and inverse are
-compared with the same operations over sympy's QQ or QQ<sqrt(d)>.
+compared with the same operations over sympy's QQ or QQ<sqrt(d)>.  QuadExt
+is checked against the field axioms, against Fraction for rational values
+(== and hash), and across the square splits of one d.
 """
 
 from fractions import Fraction
@@ -111,3 +113,64 @@ def test_det_inverse_match_sympy(case):
     else:
         with pytest.raises(ValueError):
             inverse(M)
+
+
+# -- QuadExt as a field ------------------------------------------------------------
+
+
+@st.composite
+def field_elements(draw):
+    """Three elements of one Q(sqrt(d)), rational ones among them."""
+    d = draw(st.sampled_from(D_VALUES))
+    return [QuadExt(draw(_rationals), draw(_rationals), d) for _ in range(3)]
+
+
+@SETTINGS
+@given(field_elements())
+def test_quadext_field_axioms(elems):
+    x, y, z = elems
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x + y == y + x and x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x and x * 1 == x and x - x == 0 and not (x - x)
+    if x:
+        assert x * x.inverse() == 1
+        assert (y / x) * x == y
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+
+
+@SETTINGS
+@given(_rationals, _rationals, st.sampled_from(D_VALUES))
+def test_quadext_rational_values_match_fraction(a, b, d):
+    s = 3
+    cases = [(QuadExt(a), a), (QuadExt(a, b, 0), a),
+             (QuadExt(a, b, s * s), a + b * s),
+             (QuadExt(a, b, d) - QuadExt(0, b, d), a),
+             (QuadExt(0, b, d) * QuadExt(0, b, d), b * b * d)]
+    for x, q in cases:
+        assert x.is_rational
+        assert x == q and q == x and hash(x) == hash(q)
+        assert {q: "found"}.get(x) == "found"
+        assert (x != q + 1) and hash(x + 1) == hash(q + 1)
+    if b:
+        assert QuadExt(a, b, d) != a and not QuadExt(a, b, d).is_rational
+
+
+@SETTINGS
+@given(_rationals, _rationals)
+def test_quadext_equal_and_hash_across_square_splits(a, b):
+    # 100003 is above square_split's trial bound, so 100003**2 * 100019 keeps
+    # its square factor; the small cases collapse to one stored d
+    for d, k in [(100019, 100003), (-100019, 100003), (13, 2), (-3, 7),
+                 (2, 100003)]:
+        x = QuadExt(a, b, d * k * k)
+        y = QuadExt(a, b * k, d)
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
+        assert x - y == 0 and not (x - y)
+        assert x + y == 2 * y and x * y == y * y
+        if b:
+            assert x != y.conjugate() and x != a
