@@ -23,8 +23,8 @@ from math import factorial, perm
 from operator import mul
 
 from .errors import DimensionMismatch, UnsupportedGroup
-from .linalg import (Matrix, _bareiss_pivots, _integer_matrix, _integer_rows,
-                     _nilpotent_powers, _rref_rows, exp_nilpotent, rank)
+from .linalg import (Matrix, _echelon, _integer_matrix, _integer_rows,
+                     _nilpotent_powers, exp_nilpotent, rank)
 from .poly import PolyQ, _integer_coeffs
 
 __all__ = [
@@ -226,26 +226,25 @@ def is_isotropic_flag(flag: Flag, form: BilinearForm) -> bool:
     """Whether the i-dim subspace pairs to zero with the (m-i)-dim one, all i.
 
     Equivalently, with P = basis^T * gram * basis, every entry P[a][b] with
-    (1-indexed) a + b <= m vanishes.  For a rational basis and Gram matrix
-    P is formed over Z from the basis columns each scaled to integers and
-    the Gram matrix scaled by its common denominator; positive scalings
-    leave the zero pattern of P unchanged.
+    (1-indexed) a + b <= m vanishes.  P is formed from the basis columns,
+    each scaled to integers when rational, and the Gram matrix, scaled by
+    its common denominator when rational; positive scalings leave the zero
+    pattern of P unchanged.
     """
     m = flag.ambient_dim
     if form.ambient_dim != m:
         raise DimensionMismatch(
             f"flag in dimension {m}, form in dimension {form.ambient_dim}")
     cols = _integer_rows(flag.basis.transpose())
-    gram = _integer_matrix(form.gram)
-    if cols is None or gram is None:
-        P = flag.basis.transpose() * form.gram * flag.basis
-        return not any(P[i, j] for i in range(m) for j in range(m - 1 - i))
-    nonzeros = [[(b, g) for b, g in enumerate(row) if g] for row in gram[0]]
+    gram, _ = _integer_matrix(form.gram)
+    nonzeros = [[(b, g) for b, g in enumerate(row) if g] for row in gram]
     # column j of gram * basis, for the columns some pairing needs
     gcols = [[sum(g * col[b] for b, g in row) for row in nonzeros]
              for col in cols[:m - 1]]
+    # BilinearForm admits only symmetric or alternating Gram matrices, so P
+    # is symmetric or antisymmetric and the pairings with i <= j suffice
     return not any(sum(map(mul, cols[i], gcols[j]))
-                   for i in range(m) for j in range(m - 1 - i))
+                   for j in range(m - 1) for i in range(min(j, m - 2 - j) + 1))
 
 
 # -- principal nilpotents -----------------------------------------------------
@@ -307,22 +306,18 @@ def exp_translate_flag(kind: GroupKind, t) -> Flag:
 def flags_equal(F: Flag, G: Flag) -> bool:
     """Whether two bases present the same flag (equal prefix spans for all i).
 
-    That holds iff F^-1 * G is upper triangular.  One elimination of
-    [F | G], fraction-free on integer-scaled rows or Gauss-Jordan when an
-    entry is irrational, leaves rows E * [F | G] with E * F upper triangular
-    and invertible, so it is enough that the strictly lower part of E * G
+    That holds iff F^-1 * G is upper triangular.  One echelon form of
+    [F | G] (fraction-free on integer-scaled rows when every entry is
+    rational) leaves rows E * [F | G] with E * F upper triangular and
+    invertible, so it is enough that the strictly lower part of E * G
     vanishes.
     """
     if F.ambient_dim != G.ambient_dim:
         raise DimensionMismatch(
             f"flags in dimensions {F.ambient_dim} and {G.ambient_dim}")
     m = F.ambient_dim
-    both = F.basis.hstack(G.basis)
-    rows = _integer_rows(both)
-    if rows is not None:
-        _bareiss_pivots(rows, 2 * m)
-    else:
-        rows = _rref_rows(both)[0]
+    rows = _integer_rows(F.basis.hstack(G.basis))
+    _echelon(rows, 2 * m)
     return not any(rows[i][m + j] for j in range(m) for i in range(j + 1, m))
 
 

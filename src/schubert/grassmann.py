@@ -30,8 +30,8 @@ from typing import Iterable, Sequence
 from .errors import (DegenerateConfiguration, DimensionMismatch, InfinitelyMany,
                      NegativeExpectedDimension, NotInCellInterior, NotMember)
 from .flags import Flag
-from .linalg import (Matrix, det, rank, rref, simplify_matrix,
-                     solve_quadratic)
+from .linalg import (Matrix, _echelon, _integer_rows, _scaled, det, rank, rref,
+                     simplify_matrix, solve_quadratic)
 
 __all__ = [
     "SchubertCondition",
@@ -117,35 +117,29 @@ def _check_compatible(V: GrPoint, cond: SchubertCondition, F: Flag) -> None:
 
 
 def _position(V: GrPoint, F: Flag):
-    """Jump rows and adapted basis of V relative to F, from one echelon form.
+    """Jump rows and adapted basis of V relative to F, from echelon forms.
 
     Row-reduces [F | V | W], W the standard columns completing V (rows of V
-    off the pivots of rref(V^T)), to C = F^-1 V and X = F^-1 W, and reduces
-    the columns of C bottom-up.  Returns the jump rows p_1 < ... < p_k; the
-    columns c_a (c_a[p_a] = 1, zero below p_a and at the other jump rows),
-    each followed by alpha_a with V alpha_a = F c_a; and the rows of X.
+    off the pivots of an echelon form of V^T), to C = F^-1 V and
+    X = F^-1 W.  The rref of [C^T with its columns reversed | I_k] has pivot
+    rows c_a followed by alpha_a: c_a, read bottom-up, has its last nonzero
+    entry c_a[p_a] = 1 and is zero at the other jump rows, and
+    V alpha_a = F c_a.  Returns the jump rows p_1 < ... < p_k, the columns
+    c_a each followed by alpha_a, and the rows of X.
     """
     k, m = V.k, V.ambient_dim
-    _, pivots = rref(V.basis.transpose())
+    pivots, _ = _echelon(_integer_rows(V.basis.transpose()), m)
     W = Matrix.identity(m).take_columns(r for r in range(m) if r not in pivots)
     R, _ = rref(F.basis.hstack(V.basis).hstack(W))
-    # column a of C over e_a, so that column operations also track alpha_a
-    cols = [[R[r, m + a] for r in range(m)] + [Fraction(a == b) for b in range(k)]
-            for a in range(k)]
-    jump = [0] * k
-    for r in reversed(range(m)):
-        a = next((a for a in range(k) if not jump[a] and cols[a][r]), None)
-        if a is None:
-            continue
-        jump[a] = r + 1
-        piv = cols[a][r]
-        cols[a] = [x / piv for x in cols[a]]
-        for b in range(k):
-            f = cols[b][r]
-            if b != a and f:
-                cols[b] = [x - f * y for x, y in zip(cols[b], cols[a])]
-    order = sorted(range(k), key=jump.__getitem__)
-    return (tuple(jump[a] for a in order), [cols[a] for a in order],
+    # row a: column a of C, bottom row first, then e_a to track alpha_a
+    T, lows = rref(Matrix([[R[r, m + a] for r in reversed(range(m))]
+                           + [Fraction(a == b) for b in range(k)]
+                           for a in range(k)], shape=(k, m + k)))
+    # pivot column j is row m - 1 - j of C (jump row m - j), so the pivot
+    # rows come in decreasing jump order; each is read back top-down
+    rows = [T.row(a) for a in reversed(range(k))]
+    return (tuple(m - j for j in reversed(lows)),
+            [list(row[m - 1::-1] + row[m:]) for row in rows],
             [R.row(r)[m + k:] for r in range(m)])
 
 
@@ -193,8 +187,7 @@ def _primitive(vec: Sequence) -> list:
     """A rational vector scaled to a primitive integer one; others unchanged."""
     if not all(isinstance(x, Fraction) for x in vec):
         return list(vec)
-    scale = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (scale // x.denominator) for x in vec]
+    ints = _scaled(vec, lcm(*(x.denominator for x in vec)))
     g = gcd(*ints) or 1
     return [n // g for n in ints]
 
@@ -397,7 +390,10 @@ class PermCondition:
     def __post_init__(self):
         object.__setattr__(self, "perm", tuple(self.perm))
         object.__setattr__(self, "descent_bound", tuple(self.descent_bound))
-        if sorted(self.perm) != list(range(1, self.m + 1)):
+        # the length check comes first: m may be huge, and range(1, m + 1)
+        # is only built once it equals len(perm)
+        if (len(self.perm) != self.m
+                or sorted(self.perm) != list(range(1, self.m + 1))):
             raise ValueError(f"not a permutation of 1..{self.m}: {self.perm}")
         bound = set(self.descent_bound)
         if not all(1 <= d < self.m for d in bound):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .flags import BilinearForm, Flag, GroupKind
+from .flags import Flag, GroupKind
 from .grassmann import SchubertCondition, TransversalityCertificate
 from .linalg import Matrix, QuadExt
 from .poly import PolyQ
@@ -112,7 +112,3 @@ def plane_to_json(p: PolyPlane) -> dict:
 
 def eh_report_to_json(r: EHReport) -> dict:
     return {"codim": r.codim, "wronski_order": r.wronski_order, "equal": r.equal}
-
-
-def form_to_json(f: BilinearForm) -> dict:
-    return {"kind": f.kind, "gram": matrix_to_json(f.gram)}

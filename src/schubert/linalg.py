@@ -2,8 +2,11 @@
 
 Scalars are ``fractions.Fraction``, or :class:`QuadExt` for values that live
 in a quadratic field.  There is no floating point anywhere.  Matrices are
-small and dense (desk scale), so plain Gaussian elimination with exact
-division is used throughout.
+small and dense (desk scale).  Every elimination is :func:`_echelon`:
+fraction-free (Bareiss) on integer rows, which ``rank`` and ``det`` scale
+their rational input to, and exact field elimination otherwise; ``rref``,
+``kernel`` and ``inverse`` add one backward pass on the matrix's own
+scalars.
 """
 
 from __future__ import annotations
@@ -430,27 +433,66 @@ def simplify_matrix(M: Matrix) -> Matrix:
 # -- elimination ----------------------------------------------------------
 
 
-def _rref_rows(M: Matrix) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form as a list of rows, plus pivot column indices."""
-    a = M.to_rows()
-    nr, nc = M.rows, M.cols
+def _echelon(a: list[list], nc: int) -> tuple[list[int], int]:
+    """Row-reduce the row list ``a`` (nc columns) in place to echelon form.
+
+    Returns the pivot columns, which are those of the rref (their count is
+    the rank), and the sign of the row permutation used.  When every entry
+    is an int the elimination is fraction-free (Bareiss): a row below the
+    pivot becomes ``(piv * row - x * piv_row) // prev`` with ``prev`` the
+    previous pivot, an exact division, and for a square matrix of full rank
+    the last pivot is the determinant of the row-permuted input.  Otherwise
+    a row below the pivot loses ``x / piv`` times the pivot row, over the
+    entries' own field.  The only elimination in the package.
+    """
+    nr = len(a)
+    fraction_free = all(type(x) is int for row in a for x in row)
     pivots: list[int] = []
-    r = 0
+    sign = prev = 1
     for c in range(nc):
+        r = len(pivots)
         if r == nr:
             break
         p = next((i for i in range(r, nr) if a[i][c]), None)
         if p is None:
             continue
-        a[r], a[p] = a[p], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        piv_row = a[r]
+        piv = piv_row[c]
+        for row in a[r + 1:]:
+            x = row[c]
+            if fraction_free:
+                for j in range(c, nc):
+                    row[j] = (piv * row[j] - x * piv_row[j]) // prev
+            elif x:
+                f = x / piv
+                for j in range(c, nc):
+                    row[j] = row[j] - f * piv_row[j]
+        prev = piv
         pivots.append(c)
-        r += 1
+    return pivots, sign
+
+
+def _rref_rows(M: Matrix) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of M, on its own scalars, as a list of rows,
+    plus the pivot columns: :func:`_echelon`, then a backward pass that
+    divides each pivot row by its pivot and clears its column above it."""
+    a = M.to_rows()
+    nc = M.cols
+    pivots, _ = _echelon(a, nc)
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        row = a[r]
+        piv = row[c]
+        for j in range(c, nc):
+            row[j] = row[j] / piv
+        for above in a[:r]:
+            f = above[c]
+            if f:
+                for j in range(c, nc):
+                    above[j] = above[j] - f * row[j]
     return a, pivots
 
 
@@ -477,57 +519,28 @@ def _scaled(row: Sequence[Fraction], scale: int) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def _integer_rows(M: Matrix):
-    """Row-scaled copy of M with int entries, or None if any entry is
-    irrational.  Row scaling by the denominator lcm preserves rank."""
+def _integer_rows(M: Matrix) -> list[list]:
+    """M's rows, each scaled by the lcm of its denominators to ints, so that
+    :func:`_echelon` runs fraction-free; row scaling keeps the rank and the
+    pivots.  M's own rows when an entry is irrational."""
     rows = _rational_rows(M)
     if rows is None:
-        return None
+        return M.to_rows()
     return [_scaled(row, lcm(*(x.denominator for x in row))) for row in rows]
 
 
-def _integer_matrix(M: Matrix):
-    """``(D*M as int rows, D)`` for the lcm D of all of M's denominators, or
-    None if any entry is irrational."""
+def _integer_matrix(M: Matrix) -> tuple[list[list], int]:
+    """``(D*M as int rows, D)`` for the lcm D of all of M's denominators;
+    ``(M's own rows, 1)`` when an entry is irrational."""
     rows = _rational_rows(M)
     if rows is None:
-        return None
+        return M.to_rows(), 1
     scale = lcm(*(x.denominator for row in rows for x in row))
     return [_scaled(row, scale) for row in rows], scale
 
 
-def _bareiss_pivots(a: list[list[int]], nc: int) -> list[int]:
-    """Pivot columns of an integer row list, by fraction-free (Bareiss)
-    elimination; they are those of the rref, and their count is the rank."""
-    nr = len(a)
-    pivots: list[int] = []
-    prev = 1
-    for c in range(nc):
-        r = len(pivots)
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        piv_row = a[r]
-        piv = piv_row[c]
-        for i in range(r + 1, nr):
-            row = a[i]
-            x = row[c]
-            for j in range(c + 1, nc):
-                row[j] = (piv * row[j] - x * piv_row[j]) // prev
-            row[c] = 0
-        prev = piv
-        pivots.append(c)
-    return pivots
-
-
 def rank(M: Matrix) -> int:
-    ints = _integer_rows(M)
-    if ints is not None:
-        return len(_bareiss_pivots(ints, M.cols))
-    return len(_rref_rows(M)[1])
+    return len(_echelon(_integer_rows(M), M.cols)[0])
 
 
 def kernel(M: Matrix) -> Matrix:
@@ -560,25 +573,18 @@ def inverse(M: Matrix) -> Matrix:
 
 
 def det(M: Matrix) -> Scalar:
+    """The determinant: over Z, the last Bareiss pivot of D*M divided by
+    D^n; over Q(sqrt(d)), the signed product of the pivots."""
     if M.rows != M.cols:
         raise ValueError("determinant of a non-square matrix")
-    a = M.to_rows()
     n = M.rows
-    out: Scalar = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c]), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            out = -out
-        pv = a[c][c]
-        out = out * pv
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return out
+    a, scale = _integer_matrix(M)
+    pivots, sign = _echelon(a, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    if n and type(a[-1][-1]) is int:  # the fraction-free path ran
+        return Fraction(sign * a[-1][-1], scale ** n)
+    return prod((a[i][i] for i in range(n)), start=Fraction(sign))
 
 
 def _nilpotent_powers(N: Matrix) -> tuple[int, list[list[list]]]:
@@ -594,8 +600,7 @@ def _nilpotent_powers(N: Matrix) -> tuple[int, list[list[list]]]:
     if N.rows != N.cols:
         raise NotNilpotent("only square matrices can be nilpotent")
     n = N.rows
-    scaled = _integer_matrix(N)
-    A, D = scaled if scaled is not None else (N.to_rows(), 1)
+    A, D = _integer_matrix(N)
     nonzeros = [[(c, x) for c, x in enumerate(row) if x] for row in A]
     powers: list[list[list]] = []
     P = A

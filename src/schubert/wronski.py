@@ -24,9 +24,9 @@ from fractions import Fraction
 from math import comb, prod
 
 from .errors import DegenerateConfiguration, ZeroPolynomial
-from .flags import Flag, osculating_flag
+from .flags import Flag, GroupKind, osculating_flag
 from .grassmann import GrPoint, SchubertCondition, codim
-from .linalg import (Matrix, _bareiss_pivots, rank, rref, simplify_scalar,
+from .linalg import (Matrix, _echelon, rank, simplify_scalar,
                      solve_quadratic)
 from .poly import PolyQ, _integer_coeffs
 
@@ -156,7 +156,7 @@ def plane_vanishing_orders(plane: PolyPlane, t0) -> tuple[int, ...]:
     is integral: with p scaled by the lcm of its denominators,
     v^(m-1)*p(x/v) is shifted by u and its x^j coefficient multiplied by v^j,
     and the pivots come from fraction-free elimination.  A plane over
-    Q(sqrt(d)) is shifted by t0 itself and row-reduced exactly.
+    Q(sqrt(d)) is shifted by t0 itself and eliminated over its own field.
     """
     t0 = Fraction(t0)
     m = plane.m
@@ -164,7 +164,7 @@ def plane_vanishing_orders(plane: PolyPlane, t0) -> tuple[int, ...]:
     if any(sc is None for sc in scaled):
         rows = [_taylor_shift(list(p.coeffs) + [0] * (m - len(p.coeffs)), t0)
                 for p in plane.basis]
-        return rref(Matrix(rows, shape=(plane.k, m)))[1]
+        return tuple(_echelon(rows, m)[0])
     u, v = t0.numerator, t0.denominator
     vp = [v ** j for j in range(m)]
     rows = []
@@ -172,7 +172,7 @@ def plane_vanishing_orders(plane: PolyPlane, t0) -> tuple[int, ...]:
         cs = cs + [0] * (m - len(cs))
         shifted = _taylor_shift([c * vp[m - 1 - i] for i, c in enumerate(cs)], u)
         rows.append([c * vp[j] for j, c in enumerate(shifted)])
-    return tuple(_bareiss_pivots(rows, m))
+    return tuple(_echelon(rows, m)[0])
 
 
 def ramification_condition(plane: PolyPlane, t0) -> SchubertCondition:
@@ -269,6 +269,4 @@ def random_plane(k: int, m: int, rng: random.Random) -> PolyPlane:
 
 def osculating_point_flag(m: int, t0) -> Flag:
     """Shorthand for the moment-curve osculating flag in C^m at t0."""
-    from .flags import GroupKind
-
     return osculating_flag(GroupKind.sl(m), t0)

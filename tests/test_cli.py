@@ -201,6 +201,16 @@ def test_dim_report_malformed_exits_2(capsys, tmp_path):
     assert run_cli(capsys, "dim-report", str(tmp_path / "missing.json"))[0] == 2
 
 
+def test_dim_report_huge_m_exits_2(capsys, tmp_path):
+    # a permutation whose length is not m is refused before anything of
+    # size m is built
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"ambient": {"m": 10**30, "dims": [1]},
+                                "conditions": [{"perm": [2, 1]}]}))
+    code, data = run_json(capsys, "dim-report", str(path))
+    assert code == 2 and "permutation" in data["error"]
+
+
 def test_pad_command(capsys):
     code, data = run_json(capsys, "pad", "--k", "2", "--m", "4",
                           "--condition", "2,4@0", "--condition", "2,4@1",
@@ -231,6 +241,18 @@ def test_flags_commands_match_recorded_bytes(capsys):
     for case in json.loads(golden.read_text(encoding="utf-8")):
         code, out = run_cli(capsys, *case["argv"])
         assert code == 0
+        assert out == case["stdout"], case["argv"]
+
+
+def test_elimination_commands_match_recorded_bytes(capsys):
+    # stdout and exit code recorded from the implementation with separate
+    # Bareiss, Gauss-Jordan, det and column-reduction loops: Q(sqrt d)
+    # solutions and their certificates, a degenerate instance, and
+    # Eisenbud-Harris verdicts
+    golden = Path(__file__).with_name("data") / "engine_cli_golden.json"
+    for case in json.loads(golden.read_text(encoding="utf-8")):
+        code, out = run_cli(capsys, *case["argv"])
+        assert code == case["code"], case["argv"]
         assert out == case["stdout"], case["argv"]
 
 

@@ -193,3 +193,23 @@ def test_is_isotropic_flag_matches_gram_product():
         assert is_isotropic_flag(flag, form) == want, (kind, trial)
         verdicts[want] += 1
     assert verdicts[True] >= 10 and verdicts[False] >= 5
+
+
+def test_is_isotropic_flag_sees_the_single_first_last_pairing():
+    # column m-1 (1-indexed) becomes e_(m-1) + s*e_m, so that P = B^T G B
+    # is nonzero at (1, m-1) and (m-1, 1) and zero at every other pairing
+    # a + b <= m; an isometry g keeps P and makes the basis dense
+    for trial, kind in enumerate([GroupKind.sp(2), GroupKind.so_odd(2),
+                                  GroupKind.sp(3)]):
+        m = kind.ambient_dim
+        form = gram_matrix(kind)
+        g = random_isotropic_flag(kind, trial).basis
+        for s in (F(3, 2), QuadExt(F(1, 2), F(1), D)):
+            rows = Matrix.identity(m).to_rows()
+            rows[m - 1][m - 2] = s
+            flag = Flag(m, g * Matrix(rows))
+            P = flag.basis.transpose() * form.gram * flag.basis
+            assert [(i, j) for i in range(m) for j in range(m - 1 - i)
+                    if P[i, j]] == [(0, m - 2), (m - 2, 0)]
+            assert is_isotropic_flag(flag, form) is False, (kind, s)
+            assert ref_is_isotropic(flag, form) is False

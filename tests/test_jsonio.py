@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from schubert import jsonio
-from schubert.flags import Flag, GroupKind, gram_matrix, osculating_flag
+from schubert.flags import Flag, GroupKind, osculating_flag
 from schubert.grassmann import SchubertCondition, iota
 from schubert.linalg import Matrix, QuadExt
 from schubert.poly import PolyQ
@@ -75,13 +75,10 @@ def test_poly_and_plane_serialization():
     assert out["basis"] == [["1"], ["0", "0", "1"]]
 
 
-def test_report_and_form_serialization():
+def test_report_serialization():
     rep = check_eh_identity(PolyPlane(4, 2, (PolyQ([1]), PolyQ([0, 0, 1]))), F(0))
     assert jsonio.eh_report_to_json(rep) == {
         "codim": 1, "wronski_order": 1, "equal": True}
-    form = jsonio.form_to_json(gram_matrix(GroupKind.sp(1)))
-    assert form["kind"] == "alternating"
-    assert form["gram"] == [["0", "1"], ["-1", "0"]]
 
 
 def test_everything_json_dumps_cleanly():
