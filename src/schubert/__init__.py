@@ -28,10 +28,9 @@ from .grassmann import (ExpectedDimReport, GrPoint, PermCondition,
                         small_solver_gr24, tangent_space,
                         transversality_certificate)
 from .wronski import (EHReport, PolyPlane, check_eh_identity,
-                      osculating_point_flag, plane_to_grpoint,
-                      plane_vanishing_orders, ramification_condition,
-                      random_plane, vanishing_order, wronski_solver_gr24,
-                      wronskian)
+                      plane_to_grpoint, plane_vanishing_orders,
+                      ramification_condition, random_plane, vanishing_order,
+                      wronski_solver_gr24, wronskian)
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,7 @@ __all__ = [
     "exp_nilpotent", "exp_translate_flag", "expected_dim_report",
     "flag_manifold_dim", "flags_equal", "gram_matrix", "inverse",
     "is_isotropic_flag", "iota", "kernel", "membership", "nilpotency_index",
-    "osculating_flag", "osculating_point_flag", "pad_to_zero_dimensional",
+    "osculating_flag", "pad_to_zero_dimensional",
     "perm_codim", "plane_to_grpoint", "plane_vanishing_orders",
     "principal_nilpotent", "ramification_condition", "random_isotropic_flag",
     "random_plane", "rank", "rref", "simplify_matrix", "simplify_scalar",

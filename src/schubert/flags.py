@@ -19,13 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, lcm, perm
 from operator import mul
 
 from .errors import DimensionMismatch, UnsupportedGroup
-from .linalg import (Matrix, _echelon, _integer_matrix, _integer_rows,
-                     _nilpotent_powers, exp_nilpotent, rank)
-from .poly import PolyQ, _integer_coeffs
+from .linalg import (Matrix, _echelon, _integer_rows, _nilpotent_powers,
+                     exp_nilpotent, rank)
+from .poly import PolyQ
 
 __all__ = [
     "GroupKind",
@@ -188,9 +188,9 @@ def osculating_flag(kind: GroupKind, t) -> Flag:
     m = kind.ambient_dim
     up = [u ** e for e in range(m)]
     vp = [v ** e for e in range(m)]
+    polys = curve_polynomials(kind)
     rows = []
-    for p in curve_polynomials(kind):
-        ns, scale = _integer_coeffs(p)
+    for ns, scale in zip(*_integer_rows([p.coeffs for p in polys])):
         terms = [(k, n) for k, n in enumerate(ns) if n]
         den = scale * vp[m - 1]
         rows.append([Fraction(sum(n * perm(k, i) * up[k - i] * vp[m - 1 - k + i]
@@ -226,17 +226,20 @@ def is_isotropic_flag(flag: Flag, form: BilinearForm) -> bool:
     """Whether the i-dim subspace pairs to zero with the (m-i)-dim one, all i.
 
     Equivalently, with P = basis^T * gram * basis, every entry P[a][b] with
-    (1-indexed) a + b <= m vanishes.  P is formed from the basis columns,
-    each scaled to integers when rational, and the Gram matrix, scaled by
-    its common denominator when rational; positive scalings leave the zero
-    pattern of P unchanged.
+    (1-indexed) a + b <= m vanishes.  P is formed from the basis columns
+    and the Gram matrix as :func:`_integer_rows` scales them, the Gram rows
+    to the lcm of their scales; nonzero scalings of single columns and of
+    the whole Gram matrix leave the zero pattern of P unchanged.
     """
     m = flag.ambient_dim
     if form.ambient_dim != m:
         raise DimensionMismatch(
             f"flag in dimension {m}, form in dimension {form.ambient_dim}")
-    cols = _integer_rows(flag.basis.transpose())
-    gram, _ = _integer_matrix(form.gram)
+    cols, _ = _integer_rows([flag.basis.column(j) for j in range(m)])
+    rows, scales = _integer_rows(form.gram.to_rows())
+    D = lcm(*scales)
+    gram = [row if s == D else [x * (D // s) for x in row]
+            for row, s in zip(rows, scales)]
     nonzeros = [[(b, g) for b, g in enumerate(row) if g] for row in gram]
     # column j of gram * basis, for the columns some pairing needs
     gcols = [[sum(g * col[b] for b, g in row) for row in nonzeros]
@@ -307,8 +310,8 @@ def flags_equal(F: Flag, G: Flag) -> bool:
     """Whether two bases present the same flag (equal prefix spans for all i).
 
     That holds iff F^-1 * G is upper triangular.  One echelon form of
-    [F | G] (fraction-free on integer-scaled rows when every entry is
-    rational) leaves rows E * [F | G] with E * F upper triangular and
+    [F | G] (fraction-free on the rows of :func:`_integer_rows` when every
+    entry is rational) leaves rows E * [F | G] with E * F upper triangular and
     invertible, so it is enough that the strictly lower part of E * G
     vanishes.
     """
@@ -316,7 +319,8 @@ def flags_equal(F: Flag, G: Flag) -> bool:
         raise DimensionMismatch(
             f"flags in dimensions {F.ambient_dim} and {G.ambient_dim}")
     m = F.ambient_dim
-    rows = _integer_rows(F.basis.hstack(G.basis))
+    rows, _ = _integer_rows([F.basis.row(i) + G.basis.row(i)
+                             for i in range(m)])
     _echelon(rows, 2 * m)
     return not any(rows[i][m + j] for j in range(m) for i in range(j + 1, m))
 

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (DegenerateConfiguration, DimensionMismatch, InfinitelyMany,
                      NegativeExpectedDimension, NotInCellInterior, NotMember)
 from .flags import Flag
-from .linalg import (Matrix, _echelon, _integer_rows, _scaled, det, rank, rref,
+from .linalg import (Matrix, _echelon, _integer_rows, det, rank, rref,
                      simplify_matrix, solve_quadratic)
 
 __all__ = [
@@ -128,7 +128,8 @@ def _position(V: GrPoint, F: Flag):
     c_a each followed by alpha_a, and the rows of X.
     """
     k, m = V.k, V.ambient_dim
-    pivots, _ = _echelon(_integer_rows(V.basis.transpose()), m)
+    vt, _ = _integer_rows([V.basis.column(a) for a in range(k)])
+    pivots, _ = _echelon(vt, m)
     W = Matrix.identity(m).take_columns(r for r in range(m) if r not in pivots)
     R, _ = rref(F.basis.hstack(V.basis).hstack(W))
     # row a: column a of C, bottom row first, then e_a to track alpha_a
@@ -175,21 +176,17 @@ class TangentSpace:
     point: GrPoint
     constraints: Matrix
 
-    @property
-    def hom_dim(self) -> int:
-        return self.point.k * (self.point.ambient_dim - self.point.k)
-
 
 _ZERO = Fraction(0)  # shared by every zero entry of a constraint row
 
 
 def _primitive(vec: Sequence) -> list:
     """A rational vector scaled to a primitive integer one; others unchanged."""
-    if not all(isinstance(x, Fraction) for x in vec):
-        return list(vec)
-    ints = _scaled(vec, lcm(*(x.denominator for x in vec)))
-    g = gcd(*ints) or 1
-    return [n // g for n in ints]
+    (row,), _ = _integer_rows([vec])
+    if not all(type(n) is int for n in row):
+        return row
+    g = gcd(*row) or 1
+    return [n // g for n in row]
 
 
 def tangent_space(V: GrPoint, cond: SchubertCondition, F: Flag) -> TangentSpace:

@@ -9,10 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .flags import Flag, GroupKind
-from .grassmann import SchubertCondition, TransversalityCertificate
+from .grassmann import TransversalityCertificate
 from .linalg import Matrix, QuadExt
-from .poly import PolyQ
-from .wronski import EHReport, PolyPlane
 
 __all__ = [
     "rational_to_str",
@@ -22,15 +20,8 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "kind_to_json",
-    "kind_from_json",
     "flag_to_json",
-    "flag_from_json",
-    "condition_to_json",
-    "condition_from_json",
     "certificate_to_json",
-    "poly_to_json",
-    "plane_to_json",
-    "eh_report_to_json",
 ]
 
 
@@ -65,6 +56,7 @@ def matrix_to_json(M: Matrix) -> list:
     return [[scalar_to_json(x) for x in row] for row in M.to_rows()]
 
 
+# Uncalled in src/: perfbench's four_lines check reads solutions with it.
 def matrix_from_json(rows: list) -> Matrix:
     return Matrix([[scalar_from_json(x) for x in row] for row in rows])
 
@@ -74,41 +66,10 @@ def kind_to_json(kind: GroupKind) -> dict:
     return {"type": kind.tag, key: kind.param}
 
 
-def kind_from_json(d: dict) -> GroupKind:
-    tag = d["type"]
-    param = d["m"] if tag == "SL" else d["n"]
-    return GroupKind(tag, int(param))
-
-
 def flag_to_json(f: Flag) -> dict:
     return {"ambient_dim": f.ambient_dim, "basis": matrix_to_json(f.basis)}
-
-
-def flag_from_json(d: dict) -> Flag:
-    return Flag(int(d["ambient_dim"]), matrix_from_json(d["basis"]))
-
-
-def condition_to_json(c: SchubertCondition) -> dict:
-    return {"k": c.k, "m": c.m, "indices": list(c.indices)}
-
-
-def condition_from_json(d: dict) -> SchubertCondition:
-    return SchubertCondition(int(d["k"]), int(d["m"]),
-                             tuple(int(i) for i in d["indices"]))
 
 
 def certificate_to_json(c: TransversalityCertificate) -> dict:
     return {"transverse": c.transverse, "tangent_codim": c.tangent_codim,
             "codim_sum": c.codim_sum}
-
-
-def poly_to_json(p: PolyQ) -> list:
-    return [scalar_to_json(c) for c in p.coeffs]
-
-
-def plane_to_json(p: PolyPlane) -> dict:
-    return {"m": p.m, "k": p.k, "basis": [poly_to_json(q) for q in p.basis]}
-
-
-def eh_report_to_json(r: EHReport) -> dict:
-    return {"codim": r.codim, "wronski_order": r.wronski_order, "equal": r.equal}

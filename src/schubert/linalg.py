@@ -3,10 +3,11 @@
 Scalars are ``fractions.Fraction``, or :class:`QuadExt` for values that live
 in a quadratic field.  There is no floating point anywhere.  Matrices are
 small and dense (desk scale).  Every elimination is :func:`_echelon`:
-fraction-free (Bareiss) on integer rows, which ``rank`` and ``det`` scale
-their rational input to, and exact field elimination otherwise; ``rref``,
-``kernel`` and ``inverse`` add one backward pass on the matrix's own
-scalars.
+fraction-free (Bareiss) on integer rows and exact field elimination
+otherwise; ``rref``, ``kernel`` and ``inverse`` add one backward pass on
+the matrix's own scalars.  Whether exact input is scaled to integer rows
+or passed through as irrational is decided in one place,
+:func:`_integer_rows`, for the whole input at once.
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ def _coerce(x) -> Scalar:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    raise TypeError(f"matrix entries must be exact scalars, got {type(x).__name__}")
+    raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
 
 
 def simplify_scalar(x: Scalar) -> Scalar:
@@ -290,10 +291,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[Fraction(i == j) for j in range(n)] for i in range(n)],
                    shape=(n, n))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], shape=(rows, cols))
 
     @classmethod
     def column_vector(cls, entries: Sequence) -> "Matrix":
@@ -502,45 +499,25 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return Matrix(a, shape=(M.rows, M.cols)), tuple(pivots)
 
 
-def _rational_rows(M: Matrix):
-    """M's rows with every entry a Fraction, or None if any is irrational."""
-    out = []
-    for row in M.to_rows():
-        for j, x in enumerate(row):
-            if isinstance(x, QuadExt):
-                if x.b:
-                    return None
-                row[j] = x.a
-        out.append(row)
-    return out
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
+    """Each row times the lcm of its denominators, as ints, with those lcms.
 
-
-def _scaled(row: Sequence[Fraction], scale: int) -> list[int]:
-    return [x.numerator * (scale // x.denominator) for x in row]
-
-
-def _integer_rows(M: Matrix) -> list[list]:
-    """M's rows, each scaled by the lcm of its denominators to ints, so that
-    :func:`_echelon` runs fraction-free; row scaling keeps the rank and the
-    pivots.  M's own rows when an entry is irrational."""
-    rows = _rational_rows(M)
-    if rows is None:
-        return M.to_rows()
-    return [_scaled(row, lcm(*(x.denominator for x in row))) for row in rows]
-
-
-def _integer_matrix(M: Matrix) -> tuple[list[list], int]:
-    """``(D*M as int rows, D)`` for the lcm D of all of M's denominators;
-    ``(M's own rows, 1)`` when an entry is irrational."""
-    rows = _rational_rows(M)
-    if rows is None:
-        return M.to_rows(), 1
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    return [_scaled(row, scale) for row in rows], scale
+    The one place that decides between Z and Q(sqrt(d)): when any entry of
+    the whole input is irrational, every row comes back as a copy of itself
+    with scale 1, so that :func:`_echelon` never sees int rows next to
+    irrational ones.  Row scaling keeps the rank and the pivots.
+    """
+    if any(type(x) is QuadExt for row in rows for x in row):
+        if any(type(x) is QuadExt and x.b for row in rows for x in row):
+            return [list(row) for row in rows], [1] * len(rows)
+        rows = [[x.a if type(x) is QuadExt else x for x in r] for r in rows]
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    return [[x.numerator * (s // x.denominator) for x in row]
+            for row, s in zip(rows, scales)], scales
 
 
 def rank(M: Matrix) -> int:
-    return len(_echelon(_integer_rows(M), M.cols)[0])
+    return len(_echelon(_integer_rows(M._data)[0], M.cols)[0])
 
 
 def kernel(M: Matrix) -> Matrix:
@@ -573,17 +550,18 @@ def inverse(M: Matrix) -> Matrix:
 
 
 def det(M: Matrix) -> Scalar:
-    """The determinant: over Z, the last Bareiss pivot of D*M divided by
-    D^n; over Q(sqrt(d)), the signed product of the pivots."""
+    """The determinant: over Z, the last Bareiss pivot of the rows scaled
+    by :func:`_integer_rows`, divided by the product of the row scales; over
+    Q(sqrt(d)), the signed product of the pivots."""
     if M.rows != M.cols:
         raise ValueError("determinant of a non-square matrix")
     n = M.rows
-    a, scale = _integer_matrix(M)
+    a, scales = _integer_rows(M._data)
     pivots, sign = _echelon(a, n)
     if len(pivots) < n:
         return Fraction(0)
     if n and type(a[-1][-1]) is int:  # the fraction-free path ran
-        return Fraction(sign * a[-1][-1], scale ** n)
+        return Fraction(sign * a[-1][-1], prod(scales))
     return prod((a[i][i] for i in range(n)), start=Fraction(sign))
 
 
@@ -591,8 +569,9 @@ def _nilpotent_powers(N: Matrix) -> tuple[int, list[list[list]]]:
     """``(D, [P_1, ..., P_J])`` with ``P_j = (D*N)^j`` as row lists: the
     nonzero powers of D*N, so that N's nilpotency index is J + 1.
 
-    D is the lcm of N's denominators, making every P_j integral; when an
-    entry is irrational, D is 1 and the P_j hold exact scalars.  Each product
+    D is the lcm of the row scales of :func:`_integer_rows`, a common
+    denominator making every P_j integral; when an entry is irrational, D
+    is 1 and the P_j hold exact scalars.  Each product
     runs over the nonzeros of D*N's rows, listed once, so a matrix with a
     bounded number of nonzeros per row costs O(m^2) per power.  Raises
     NotNilpotent for a non-square N or when ``N^rows != 0``.
@@ -600,7 +579,10 @@ def _nilpotent_powers(N: Matrix) -> tuple[int, list[list[list]]]:
     if N.rows != N.cols:
         raise NotNilpotent("only square matrices can be nilpotent")
     n = N.rows
-    A, D = _integer_matrix(N)
+    rows, scales = _integer_rows(N._data)
+    D = lcm(*scales)
+    A = [row if s == D else [x * (D // s) for x in row]
+         for row, s in zip(rows, scales)]
     nonzeros = [[(c, x) for c, x in enumerate(row) if x] for row in A]
     powers: list[list[list]] = []
     P = A

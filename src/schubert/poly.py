@@ -3,20 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .linalg import QuadExt, Scalar, _scaled
+from .linalg import QuadExt, Scalar, _coerce
 
 __all__ = ["PolyQ"]
-
-
-def _coerce(x) -> Scalar:
-    if isinstance(x, (Fraction, QuadExt)):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"polynomial coefficients must be exact scalars, got {type(x).__name__}")
 
 
 class PolyQ:
@@ -34,10 +25,6 @@ class PolyQ:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls) -> "PolyQ":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "PolyQ":
         return cls((1,))
 
@@ -51,11 +38,6 @@ class PolyQ:
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def leading(self) -> Scalar:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -119,15 +101,6 @@ class PolyQ:
         rem = self.coeffs[0] + t0 * carry
         return PolyQ(q), rem
 
-    def proportional(self, other: "PolyQ") -> bool:
-        """True when the two polynomials agree up to a nonzero scalar."""
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if self.degree() != other.degree():
-            return False
-        lam = other.leading() / self.leading()
-        return self * lam == other
-
     # -- comparison ----------------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, PolyQ):
@@ -157,12 +130,3 @@ class PolyQ:
             else:
                 parts.append(f"{c}*t^{j}")
         return " + ".join(parts)
-
-
-def _integer_coeffs(p: PolyQ) -> tuple[list[int], int] | None:
-    """p's coefficients times the lcm of their denominators, with that lcm;
-    None when a coefficient is irrational."""
-    if not all(isinstance(c, Fraction) for c in p.coeffs):
-        return None
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    return _scaled(p.coeffs, scale), scale

@@ -24,11 +24,10 @@ from fractions import Fraction
 from math import comb, prod
 
 from .errors import DegenerateConfiguration, ZeroPolynomial
-from .flags import Flag, GroupKind, osculating_flag
 from .grassmann import GrPoint, SchubertCondition, codim
-from .linalg import (Matrix, _echelon, rank, simplify_scalar,
+from .linalg import (Matrix, _echelon, _integer_rows, rank, simplify_scalar,
                      solve_quadratic)
-from .poly import PolyQ, _integer_coeffs
+from .poly import PolyQ
 
 __all__ = [
     "PolyPlane",
@@ -104,24 +103,18 @@ def wronskian(plane: PolyPlane) -> PolyQ:
     """det of the k x k matrix of derivatives (row a holds the a-th derivative).
 
     Nonzero for any plane, of degree at most k*(m-k) after the forced factor
-    structure; invariant up to scale under change of basis.  For a rational
-    plane each basis polynomial is scaled by the lcm of its denominators, the
-    determinant is taken over Z[t], and the result divided once by the
-    product of the scales; a plane over Q(sqrt(d)) takes the same determinant
-    of its own coefficients.
+    structure; invariant up to scale under change of basis.  The basis
+    polynomials go through :func:`_integer_rows` (each scaled to integers
+    unless the plane is irrational), the determinant is taken over their
+    coefficients, and the result is divided once by the product of the
+    scales.
     """
-    scaled = [_integer_coeffs(p) for p in plane.basis]
-    rational = all(sc is not None for sc in scaled)
-    row = ([cs for cs, _ in scaled] if rational
-           else [list(p.coeffs) for p in plane.basis])
+    row, scales = _integer_rows([p.coeffs for p in plane.basis])
     grid = [row]
     for _ in range(plane.k - 1):
         grid.append([[j * c for j, c in enumerate(cs)][1:] for cs in grid[-1]])
-    det = _poly_det(grid)
-    if rational:
-        scale = prod(s for _, s in scaled)
-        det = [Fraction(c, scale) for c in det]
-    return PolyQ(det)
+    scale = Fraction(prod(scales))
+    return PolyQ([c / scale for c in _poly_det(grid)])
 
 
 def vanishing_order(f: PolyQ, t0) -> int:
@@ -152,23 +145,18 @@ def plane_vanishing_orders(plane: PolyPlane, t0) -> tuple[int, ...]:
 
     They are the pivot columns of the k x m jet matrix, whose row c holds the
     Taylor coefficients of basis polynomial c at t0; nonzero row and column
-    scales leave them unchanged.  For a rational plane and t0 = u/v each row
-    is integral: with p scaled by the lcm of its denominators,
-    v^(m-1)*p(x/v) is shifted by u and its x^j coefficient multiplied by v^j,
-    and the pivots come from fraction-free elimination.  A plane over
-    Q(sqrt(d)) is shifted by t0 itself and eliminated over its own field.
+    scales leave them unchanged.  With t0 = u/v and each p from
+    :func:`_integer_rows`, v^(m-1)*p(x/v) is shifted by u and its x^j
+    coefficient multiplied by v^j: integer rows for a rational plane, whose
+    pivots come from fraction-free elimination, and rows over Q(sqrt(d))
+    otherwise.
     """
     t0 = Fraction(t0)
     m = plane.m
-    scaled = [_integer_coeffs(p) for p in plane.basis]
-    if any(sc is None for sc in scaled):
-        rows = [_taylor_shift(list(p.coeffs) + [0] * (m - len(p.coeffs)), t0)
-                for p in plane.basis]
-        return tuple(_echelon(rows, m)[0])
     u, v = t0.numerator, t0.denominator
     vp = [v ** j for j in range(m)]
     rows = []
-    for cs, _ in scaled:
+    for cs in _integer_rows([p.coeffs for p in plane.basis])[0]:
         cs = cs + [0] * (m - len(cs))
         shifted = _taylor_shift([c * vp[m - 1 - i] for i, c in enumerate(cs)], u)
         rows.append([c * vp[j] for j, c in enumerate(shifted)])
@@ -265,8 +253,3 @@ def random_plane(k: int, m: int, rng: random.Random) -> PolyPlane:
             return PolyPlane(m, k, polys)
         except ValueError:
             continue
-
-
-def osculating_point_flag(m: int, t0) -> Flag:
-    """Shorthand for the moment-curve osculating flag in C^m at t0."""
-    return osculating_flag(GroupKind.sl(m), t0)

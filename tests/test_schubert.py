@@ -8,12 +8,15 @@ flag columns at positions outside the condition, which realizes every
 incidence with equality.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import schubert
 from schubert.errors import (DegenerateConfiguration, DimensionMismatch,
                              NegativeExpectedDimension, NotInCellInterior,
                              NotMember)
@@ -217,7 +220,7 @@ def test_tangent_space_vacuous_condition():
     cond = SchubertCondition(2, 4, (3, 4))
     V = _cell_point(cond, flag, rng)
     T = tangent_space(V, cond, flag)
-    assert T.hom_dim == 4
+    assert T.constraints.cols == 4  # dim Hom(V, C^4/V)
     assert T.constraints.rows == 0 or rank(T.constraints) == 0
 
 
@@ -458,3 +461,15 @@ def test_condition_codim_dispatch():
     assert condition_codim(PermCondition(5, (3, 2, 5, 1, 4), (1, 3))) == 5
     with pytest.raises(TypeError):
         condition_codim("not a condition")
+
+
+# -- the public API ----------------------------------------------------------------
+
+
+def test_public_api_is_pinned():
+    # any change to schubert.__all__ shows up as a diff to this file
+    pinned = Path(__file__).with_name("data") / "public_api.json"
+    want = json.loads(pinned.read_text(encoding="utf-8"))
+    assert sorted(schubert.__all__) == want
+    for name in schubert.__all__:
+        assert getattr(schubert, name) is not None, name
