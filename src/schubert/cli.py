@@ -67,6 +67,13 @@ def _rational_list(text: str) -> list[Fraction]:
             for part in text.split(",") if part.strip()]
 
 
+def _checked_points(text: str, option: str) -> list[Fraction]:
+    # a verdict over no points would rest on zero checks
+    if ts := _rational_list(text):
+        return ts
+    raise ValueError(f"{option} lists no points")
+
+
 # -- command handlers ---------------------------------------------------------
 
 
@@ -97,7 +104,7 @@ def cmd_osculating_flag(args):
 def cmd_verify_isotropy(args):
     kind = _kind_from_args(args)
     form = gram_matrix(kind)
-    ts = _rational_list(args.t)
+    ts = _checked_points(args.t, "--t")
     results = []
     for t in ts:
         ok = is_isotropic_flag(osculating_flag(kind, t), form)
@@ -127,7 +134,7 @@ def cmd_nilpotent(args):
 
 def cmd_peterson_check(args):
     kind = _kind_from_args(args)
-    ts = _rational_list(args.t)
+    ts = _checked_points(args.t, "--t")
     results = []
     for t in ts:
         same = flags_equal(exp_translate_flag(kind, t), osculating_flag(kind, t))
@@ -189,9 +196,9 @@ def cmd_eh_check(args):
     k, m = args.k, args.m
     if not (1 <= k < m <= 8):
         raise ValueError("need 1 <= k < m <= 8")
-    if not 0 <= args.samples <= MAX_EH_SAMPLES:
-        raise ValueError(f"--samples must be between 0 and {MAX_EH_SAMPLES}")
-    ts = _rational_list(args.points)
+    if not 1 <= args.samples <= MAX_EH_SAMPLES:
+        raise ValueError(f"--samples must be between 1 and {MAX_EH_SAMPLES}")
+    ts = _checked_points(args.points, "--points")
     rng = random.Random(args.seed)
     failures = []
     checked = 0
@@ -362,6 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def _render_plain(value, indent: int = 0) -> list[str]:
     pad = "  " * indent
     if isinstance(value, dict):
@@ -408,8 +418,7 @@ def _emit(payload, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     fmt = os.environ.get("SCHUBERT_OUTPUT") or args.format
     if fmt not in ("json", "plain"):
         _emit({"error": f"SCHUBERT_OUTPUT must be 'json' or 'plain', got {fmt!r}"},

@@ -328,54 +328,41 @@ def flags_equal(F: Flag, G: Flag) -> bool:
 # -- random isotropic flags ---------------------------------------------------
 
 
-def _root_elements(kind: GroupKind, form: BilinearForm) -> tuple[list[Matrix], list[Matrix]]:
-    """Strictly upper and lower triangular root elements of the Lie algebra.
-
-    For the anti-diagonal forms used here, the element supported at (a, b) is
-    paired with position (m+1-b, m+1-a).  Each returned X satisfies
-    X^T * gram + gram * X = 0.
-    """
-    m = kind.ambient_dim
-    G = form.gram
-    if kind.tag == "Sp":
-        n = kind.param
-        eps = [0] + [1] * n + [-1] * n  # 1-indexed
-    upper: list[Matrix] = []
-    lower: list[Matrix] = []
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            if a == b:
-                continue
-            pa, pb = m + 1 - b, m + 1 - a
-            if (pa, pb) < (a, b):
-                continue  # the partner position generates the same line
-            if kind.tag == "SO_odd" and a + b == m + 1:
-                continue  # anti-diagonal positions are absent from so(2n+1)
-            rows = [[Fraction(0)] * m for _ in range(m)]
-            rows[a - 1][b - 1] = Fraction(1)
-            if (pa, pb) != (a, b):
-                c = -1 if kind.tag == "SO_odd" else -eps[a] * eps[b]
-                rows[pa - 1][pb - 1] = Fraction(c)
-            X = Matrix(rows, shape=(m, m))
-            assert (X.transpose() * G + G * X).is_zero()
-            (upper if a < b else lower).append(X)
-    return upper, lower
-
-
 def random_isotropic_flag(kind: GroupKind, seed: int) -> Flag:
     """A seeded random isotropic flag for Sp(2n) or SO(2n+1).
 
-    The flag is the coordinate flag moved by a product of exponentials of
-    root elements with small random rational coefficients, so it is exactly
-    isotropic by construction and deterministic in the seed.
+    The coordinate flag is moved by exp(c*X) for each root element X in
+    turn (upper roots first, each half row-major) with small random
+    rational c, so the flag is exactly isotropic and fixed by the seed.
+    The root at (a, b) is X = E_ab + k*E_(pa,pb) with partner (pa, pb) =
+    (m-1-b, m-1-a) and k = -1 for SO(2n+1), -eps_a*eps_b for Sp(2n) (eps
+    is +1 on the first n coordinates, -1 on the rest); an anti-diagonal
+    root is its own partner and is E_ab alone.  Right multiplication by
+    exp(c*X) = 1 + c*X + (c^2/2)*X^2 adds c*col_a to col_b and c*k*col_pa
+    to col_pb; X^2 is k*E_(a,pb) when b == pa, k*E_(pa,b) when pb == a,
+    and 0 otherwise.
     """
     if kind.tag not in ("Sp", "SO_odd"):
         raise UnsupportedGroup(f"{kind} has no isotropic flags here")
-    form = gram_matrix(kind)
-    upper, lower = _root_elements(kind, form)
+    m, n = kind.ambient_dim, kind.param
+    roots = sorted(((a, b) for a in range(m) for b in range(m)
+                    if a != b and (m - 1 - b, m - 1 - a) >= (a, b)
+                    and not (kind.tag == "SO_odd" and a + b == m - 1)),
+                   key=lambda r: r[0] > r[1])
     rng = random.Random(seed)
-    g = Matrix.identity(kind.ambient_dim)
-    for X in upper + lower:
+    g = [[Fraction(i == j) for i in range(m)] for j in range(m)]  # columns
+    for a, b in roots:
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        g = g * exp_nilpotent(X, c)
-    return Flag(kind.ambient_dim, g)
+        pa, pb = m - 1 - b, m - 1 - a
+        col_b = [x + c * y for x, y in zip(g[b], g[a])]
+        if (pa, pb) != (a, b):
+            ck = c if kind.tag == "Sp" and (a < n) != (b < n) else -c
+            col_pb = [x + ck * y for x, y in zip(g[pb], g[pa])]
+            h = ck * c / 2  # the coefficient of X^2
+            if b == pa:
+                col_pb = [x + h * y for x, y in zip(col_pb, g[a])]
+            elif pb == a:
+                col_b = [x + h * y for x, y in zip(col_b, g[pa])]
+            g[pb] = col_pb
+        g[b] = col_b
+    return Flag(m, Matrix.from_columns(g))

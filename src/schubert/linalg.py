@@ -186,13 +186,14 @@ class QuadExt:
         o = self._mate(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        d, ob = self._join_d(o)
+        return QuadExt(self.a - o.a, self.b - ob, d)
 
     def __rsub__(self, other):
         o = self._mate(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._mate(other)

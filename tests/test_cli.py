@@ -75,9 +75,12 @@ def test_verify_isotropy_all_true(capsys):
 
 
 def test_verify_isotropy_empty_list(capsys):
-    code, data = run_json(capsys, "verify-isotropy", "--kind", "so-odd",
-                          "--n", "2", "--t", "")
-    assert code == 0 and data["results"] == []
+    # a verdict over no points would rest on zero checks
+    for command in ("verify-isotropy", "peterson-check"):
+        for points in ("", ","):
+            code, data = run_json(capsys, command, "--kind", "so-odd",
+                                  "--n", "2", "--t", points)
+            assert code == 2 and "--t" in data["error"], (command, points)
 
 
 def test_nilpotent_payloads(capsys):
@@ -135,7 +138,10 @@ def test_eh_check(capsys):
     assert data["checked"] == 20 and data["failures"] == []
     code, data = run_json(capsys, "eh-check", "--k", "2", "--m", "4",
                           "--samples", "0", "--points", "0")
-    assert code == 0 and data["checked"] == 0
+    assert code == 2 and "--samples" in data["error"]
+    code, data = run_json(capsys, "eh-check", "--k", "2", "--m", "4",
+                          "--samples", "10", "--points", "")
+    assert code == 2 and "--points" in data["error"]
 
 
 def test_eh_check_rejects_large_m(capsys):
@@ -278,6 +284,16 @@ def test_kind_commands_reject_too_large_ambient_dimension(capsys, monkeypatch):
     code, data = run_json(capsys, "osculating-flag", "--kind", "so-odd",
                           "--n", str(limit // 2), "--t", "1")
     assert code == 2 and str(limit + 1) in data["error"]
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("built a parser per call")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, data = run_json(capsys, "curve", "--kind", "sl", "--m", "3",
+                          "--t", "1")
+    assert code == 0 and data["point"] == ["1", "1", "1"]
 
 
 def test_env_var_overrides_format(capsys, monkeypatch):

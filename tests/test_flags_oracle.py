@@ -2,8 +2,9 @@
 
 Each reference below is the plain computation over Q or Q(sqrt(d)): prefix
 ranks for flags_equal, the Matrix-power series for exp_nilpotent and
-nilpotency_index, PolyQ derivatives and evaluation for osculating_flag, and
-B^T * G * B for is_isotropic_flag.  Inputs are seeded; the nilpotents are
+nilpotency_index, PolyQ derivatives and evaluation for osculating_flag,
+B^T * G * B for is_isotropic_flag, and a product of dense matrix
+exponentials of root elements for random_isotropic_flag.  Inputs are seeded; the nilpotents are
 dense (strictly lower triangular, conjugated by a random invertible matrix),
 and flag pairs and isotropic bases come both unchanged and perturbed.
 """
@@ -64,6 +65,39 @@ def ref_osculating_basis(kind, t):
     return Matrix.from_columns(cols)
 
 
+def ref_root_elements(kind):
+    """Dense upper and lower root elements E_ab + k*E_(pa,pb) (1-indexed,
+    partner pa, pb = m+1-b, m+1-a), each checked against X^T G + G X = 0."""
+    m, n = kind.ambient_dim, kind.param
+    G = gram_matrix(kind).gram
+    eps = [0] + [1] * n + [-1] * n  # 1-indexed, read for Sp only
+    upper, lower = [], []
+    for a in range(1, m + 1):
+        for b in range(1, m + 1):
+            pa, pb = m + 1 - b, m + 1 - a
+            if a == b or (pa, pb) < (a, b):
+                continue
+            if kind.tag == "SO_odd" and a + b == m + 1:
+                continue
+            rows = [[F(0)] * m for _ in range(m)]
+            rows[a - 1][b - 1] = F(1)
+            if (pa, pb) != (a, b):
+                k = -1 if kind.tag == "SO_odd" else -eps[a] * eps[b]
+                rows[pa - 1][pb - 1] = F(k)
+            X = Matrix(rows)
+            assert (X.transpose() * G + G * X).is_zero()
+            (upper if a < b else lower).append(X)
+    return upper, lower
+
+
+def ref_random_isotropic_basis(roots, seed):
+    rng = random.Random(seed)
+    g = Matrix.identity(roots[0].rows)
+    for X in roots:
+        g = g * exp_nilpotent(X, F(rng.randint(-9, 9), rng.randint(1, 9)))
+    return g
+
+
 def ref_is_isotropic(flag, form):
     P = flag.basis.transpose() * form.gram * flag.basis
     m = flag.ambient_dim
@@ -104,6 +138,10 @@ def _perturbed(rng, M, d):
     i, j = rng.randrange(M.rows), rng.randrange(M.cols)
     rows[i][j] = rows[i][j] + _scalar(rng, d)
     return Matrix(rows)
+
+
+def _typed_entries(M):
+    return [(type(x), x) for i in range(M.rows) for x in M.row(i)]
 
 
 # -- tests -------------------------------------------------------------------------
@@ -193,6 +231,19 @@ def test_is_isotropic_flag_matches_gram_product():
         assert is_isotropic_flag(flag, form) == want, (kind, trial)
         verdicts[want] += 1
     assert verdicts[True] >= 10 and verdicts[False] >= 5
+
+
+def test_random_isotropic_flag_matches_root_exponentials():
+    kinds = [GroupKind.sp(n) for n in range(1, 6)]
+    kinds += [GroupKind.so_odd(n) for n in range(1, 6)]
+    for kind in kinds:
+        upper, lower = ref_root_elements(kind)
+        G = gram_matrix(kind).gram
+        for seed in range(20):
+            B = random_isotropic_flag(kind, seed).basis
+            want = ref_random_isotropic_basis(upper + lower, seed)
+            assert _typed_entries(B) == _typed_entries(want), (kind, seed)
+            assert B.transpose() * G * B == G, (kind, seed)
 
 
 def test_is_isotropic_flag_sees_the_single_first_last_pairing():

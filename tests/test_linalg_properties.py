@@ -134,6 +134,8 @@ def test_quadext_field_axioms(elems):
     assert x + y == y + x and x * y == y * x
     assert x * (y + z) == x * y + x * z
     assert x + 0 == x and x * 1 == x and x - x == 0 and not (x - x)
+    assert x - y == x + (-y) and (x - y) + y == x
+    assert 2 - x == -(x - 2) and F(1, 3) - x == -(x - F(1, 3))
     if x:
         assert x * x.inverse() == 1
         assert (y / x) * x == y
