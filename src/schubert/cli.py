@@ -417,23 +417,26 @@ def _emit(payload, fmt: str) -> None:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
+def _error(e: Exception) -> dict:
+    return {"error": str(e), "error_type": type(e).__name__}
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     fmt = os.environ.get("SCHUBERT_OUTPUT") or args.format
-    if fmt not in ("json", "plain"):
-        _emit({"error": f"SCHUBERT_OUTPUT must be 'json' or 'plain', got {fmt!r}"},
-              "json")
-        return EXIT_PARSE
     try:
+        if fmt not in ("json", "plain"):
+            raise ValueError(
+                f"SCHUBERT_OUTPUT must be 'json' or 'plain', got {fmt!r}")
         code, payload = args.handler(args)
     except UnsupportedGroup as e:
-        code, payload = EXIT_UNSUPPORTED, {"error": str(e)}
+        code, payload = EXIT_UNSUPPORTED, _error(e)
     except (DegenerateConfiguration, InfinitelyMany, NotInCellInterior,
             NegativeExpectedDimension) as e:
-        code, payload = EXIT_DEGENERATE, {"error": str(e)}
+        code, payload = EXIT_DEGENERATE, _error(e)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as e:
-        code, payload = EXIT_PARSE, {"error": str(e)}
-    _emit(payload, fmt)
+        code, payload = EXIT_PARSE, _error(e)
+    _emit(payload, fmt)  # a format other than "plain" prints JSON
     return code
 
 

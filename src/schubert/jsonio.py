@@ -6,6 +6,7 @@ Rationals serialize as "p/q" ("p" when q == 1); quadratic irrationals as
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .flags import Flag, GroupKind
@@ -25,15 +26,28 @@ __all__ = [
 ]
 
 
+# Largest |e| that parse_rational accepts in a decimal exponent, as in
+# "2.5e-3".  Fraction builds 10**|e| exactly, which takes tens of seconds
+# for an exponent in the tens of millions; 4300 is Python's default limit
+# on the digits of an int it prints.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+
+
 def rational_to_str(x) -> str:
     return str(Fraction(x))
 
 
 def parse_rational(s: str) -> Fraction:
+    text = str(s).strip()
     try:
-        return Fraction(str(s).strip())
+        exponent = _EXPONENT.search(text)
+        if not (exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"not a rational number: {s!r}") from e
+    raise ValueError(f"decimal exponent out of range in {s!r}: "
+                     f"|e| may be at most {MAX_DECIMAL_EXPONENT}")
 
 
 def scalar_to_json(x):

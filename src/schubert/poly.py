@@ -89,6 +89,7 @@ class PolyQ:
             acc = acc * t + c
         return acc
 
+    # Uncalled in src/: perfbench's span table wraps it.
     def divide_linear(self, t0) -> tuple["PolyQ", Scalar]:
         """Synthetic division by ``(t - t0)``; returns (quotient, remainder)."""
         if self.is_zero:

@@ -14,18 +14,25 @@ every rational t0 simultaneously.
 The vanishing orders of P at t0 reproduce the order of vanishing of the
 Wronskian there: ord(W, t0) equals the codimension of the ramification
 condition of P at t0.
+
+Everything runs over Z.  A plane scales its basis to integer coefficient
+rows once, when it is built; the Wronskian, the vanishing orders of the
+plane and the root orders of a polynomial all read integer rows, and the
+root order at t0 = u/v comes from synthetic division of v^d * f(x/v) by
+(x - u).  A plane over Q(sqrt(d)) keeps its own coefficients and runs the
+same ring operations on them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
 
 from .errors import DegenerateConfiguration, ZeroPolynomial
 from .grassmann import GrPoint, SchubertCondition, codim
-from .linalg import (Matrix, _echelon, _integer_rows, rank, simplify_scalar,
+from .linalg import (Matrix, _echelon, _integer_rows, simplify_scalar,
                      solve_quadratic)
 from .poly import PolyQ
 
@@ -45,11 +52,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolyPlane:
-    """A k-dimensional space of polynomials of degree < m."""
+    """A k-dimensional space of polynomials of degree < m.
+
+    The basis goes through :func:`_integer_rows` once, here: ``_rows`` holds
+    its coefficient rows (lowest degree first, padded to m), each scaled by
+    its entry of ``_scales``.  Neither takes part in equality, hashing or
+    the repr.
+    """
 
     m: int
     k: int
     basis: tuple[PolyQ, ...]
+    _rows: list = field(init=False, repr=False, compare=False)
+    _scales: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
@@ -58,16 +73,12 @@ class PolyPlane:
         for p in self.basis:
             if p.degree() >= self.m:
                 raise ValueError(f"degree {p.degree()} is not below m = {self.m}")
-        if rank(self.coefficient_matrix()) != self.k:
+        rows, scales = _integer_rows([p.coeffs for p in self.basis])
+        rows = [row + [0] * (self.m - len(row)) for row in rows]
+        if len(_echelon([list(row) for row in rows], self.m)[0]) != self.k:
             raise ValueError("basis polynomials are linearly dependent")
-
-    def coefficient_matrix(self) -> Matrix:
-        """k x m matrix whose rows are the coefficient vectors (low degree first)."""
-        rows = []
-        for p in self.basis:
-            row = list(p.coeffs) + [Fraction(0)] * (self.m - len(p.coeffs))
-            rows.append(row)
-        return Matrix(rows, shape=(self.k, self.m))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_scales", scales)
 
 
 def _poly_mul(p: list, q: list) -> list:
@@ -103,32 +114,43 @@ def wronskian(plane: PolyPlane) -> PolyQ:
     """det of the k x k matrix of derivatives (row a holds the a-th derivative).
 
     Nonzero for any plane, of degree at most k*(m-k) after the forced factor
-    structure; invariant up to scale under change of basis.  The basis
-    polynomials go through :func:`_integer_rows` (each scaled to integers
-    unless the plane is irrational), the determinant is taken over their
-    coefficients, and the result is divided once by the product of the
+    structure; invariant up to scale under change of basis.  The
+    determinant is taken over the plane's scaled coefficient rows (integers
+    unless the plane is irrational) and divided once by the product of the
     scales.
     """
-    row, scales = _integer_rows([p.coeffs for p in plane.basis])
-    grid = [row]
+    grid = [plane._rows]
     for _ in range(plane.k - 1):
         grid.append([[j * c for j, c in enumerate(cs)][1:] for cs in grid[-1]])
-    scale = Fraction(prod(scales))
+    scale = Fraction(prod(plane._scales))
     return PolyQ([c / scale for c in _poly_det(grid)])
 
 
 def vanishing_order(f: PolyQ, t0) -> int:
-    """Multiplicity of t0 as a root of f; 0 when f(t0) != 0."""
+    """Multiplicity of t0 as a root of f; 0 when f(t0) != 0.
+
+    With f scaled to integer coefficients c_i (or kept over Q(sqrt(d))) and
+    t0 = u/v, t0 is a root of f of the same multiplicity as u is of
+    g(x) = v^d * f(x/v), whose x^i coefficient is c_i * v^(d-i).  Synthetic
+    division of g by the monic x - u stays in the coefficient ring; the
+    count stops at the first nonzero remainder.
+    """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial vanishes to all orders")
     t0 = Fraction(t0)
+    u, v = t0.numerator, t0.denominator
+    (cs,), _ = _integer_rows([f.coeffs])
+    g = [c * v ** i for i, c in enumerate(reversed(cs))]  # highest degree first
     order = 0
     while True:
-        q, rem = f.divide_linear(t0)
-        if rem:
+        carry, q = 0, []
+        for c in g:
+            carry = carry * u + c
+            q.append(carry)
+        if q.pop():
             return order
         order += 1
-        f = q
+        g = q
 
 
 def _taylor_shift(cs: list, u) -> list:
@@ -145,8 +167,8 @@ def plane_vanishing_orders(plane: PolyPlane, t0) -> tuple[int, ...]:
 
     They are the pivot columns of the k x m jet matrix, whose row c holds the
     Taylor coefficients of basis polynomial c at t0; nonzero row and column
-    scales leave them unchanged.  With t0 = u/v and each p from
-    :func:`_integer_rows`, v^(m-1)*p(x/v) is shifted by u and its x^j
+    scales leave them unchanged.  With t0 = u/v and each p a scaled
+    coefficient row of the plane, v^(m-1)*p(x/v) is shifted by u and its x^j
     coefficient multiplied by v^j: integer rows for a rational plane, whose
     pivots come from fraction-free elimination, and rows over Q(sqrt(d))
     otherwise.
@@ -156,8 +178,7 @@ def plane_vanishing_orders(plane: PolyPlane, t0) -> tuple[int, ...]:
     u, v = t0.numerator, t0.denominator
     vp = [v ** j for j in range(m)]
     rows = []
-    for cs in _integer_rows([p.coeffs for p in plane.basis])[0]:
-        cs = cs + [0] * (m - len(cs))
+    for cs in plane._rows:
         shifted = _taylor_shift([c * vp[m - 1 - i] for i, c in enumerate(cs)], u)
         rows.append([c * vp[j] for j, c in enumerate(shifted)])
     return tuple(_echelon(rows, m)[0])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,38 @@ def test_bad_rational_exits_2(capsys):
     code, data = run_json(capsys, "curve", "--kind", "sl", "--m", "3",
                           "--t", "one")
     assert code == 2
+
+
+def test_huge_decimal_exponent_exits_2_at_once(capsys):
+    # Fraction alone spends tens of seconds building 10**30000000
+    start = time.perf_counter()
+    code, data = run_json(capsys, "curve", "--kind", "sl", "--m", "3",
+                          "--t", "1e30000000")
+    assert code == 2 and "'1e30000000'" in data["error"]
+    code, data = run_json(capsys, "eh-check", "--k", "2", "--m", "4",
+                          "--samples", "1", "--points=1e3000000")
+    assert code == 2 and "'1e3000000'" in data["error"]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_errors_name_their_type(capsys, monkeypatch, tmp_path):
+    code, data = run_json(capsys, "curve", "--kind", "so-even", "--n", "2",
+                          "--t", "1")
+    assert (code, data["error_type"]) == (3, "UnsupportedGroup")
+    code, data = run_json(capsys, "curve", "--kind", "sl", "--m", "3",
+                          "--t", "one")
+    assert (code, data["error_type"]) == (2, "ValueError")
+    code, data = run_json(capsys, "dim-report", str(tmp_path / "absent.json"))
+    assert (code, data["error_type"]) == (2, "FileNotFoundError")
+    code, data = run_json(capsys, "pad", "--k", "2", "--m", "4",
+                          "--condition", "1,2@0", "--condition", "2,4@1",
+                          "--fresh", "5")
+    assert (code, data["error_type"]) == (4, "NegativeExpectedDimension")
+    monkeypatch.setenv("SCHUBERT_OUTPUT", "yaml")
+    code, data = run_json(capsys, "curve", "--kind", "sl", "--m", "3",
+                          "--t", "0")
+    assert (code, data["error_type"]) == (2, "ValueError")
+    assert list(data) == ["error", "error_type"]
 
 
 def test_unknown_subcommand_exits_2():

@@ -22,6 +22,20 @@ def test_rational_strings():
         jsonio.parse_rational("1.5e3x")
 
 
+def test_decimal_exponent_is_bounded():
+    assert jsonio.parse_rational("1e5") == 100000
+    assert jsonio.parse_rational("2.5e-3") == F(1, 400)
+    assert jsonio.parse_rational("-3/2") == F(-3, 2)
+    assert jsonio.parse_rational("1.5") == F(3, 2)
+    limit = jsonio.MAX_DECIMAL_EXPONENT
+    assert jsonio.parse_rational(f"1e-{limit}") == F(1, 10 ** limit)
+    for text in (f"1e{limit + 1}", f"2.5E-{limit + 1}", "1e+30000000",
+                 "1e1_000_000"):
+        with pytest.raises(ValueError, match="exponent") as exc:
+            jsonio.parse_rational(text)
+        assert repr(text) in str(exc.value)
+
+
 def test_scalar_round_trip():
     for x in [F(0), F(-7, 2), QuadExt(F(1, 2), F(-1, 3), 13)]:
         encoded = jsonio.scalar_to_json(x)

@@ -1,20 +1,24 @@
 """The integer Wronskian and vanishing-order paths against independent oracles.
 
-`wronskian` is compared with sympy's Wronskian of the same polynomials, and
+`wronskian` is compared with sympy's Wronskian of the same polynomials,
 `plane_vanishing_orders` with the rref pivots of the derivative-jet matrix
-evaluated at t0, on seeded planes (k <= 5, m <= 8), on planes built from
-powers of (t - t0), and on a Q(sqrt(13)) plane of the Gr(2, 4) Wronski solver.
+evaluated at t0, and `vanishing_order` with repeated Fraction division by
+(t - t0), on seeded planes (k <= 5, m <= 8), on planes and polynomials built
+from powers of (t - t0), and on a Q(sqrt(13)) plane of the Gr(2, 4) Wronski
+solver.
 """
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+from schubert.errors import ZeroPolynomial
 from schubert.linalg import Matrix, QuadExt, rref
 from schubert.poly import PolyQ
 from schubert.wronski import (PolyPlane, plane_vanishing_orders, random_plane,
-                              wronski_solver_gr24, wronskian)
+                              vanishing_order, wronski_solver_gr24, wronskian)
 
 F = Fraction
 POINTS = (F(0), F(1), F(-2), F(3, 2), F(-5, 7))
@@ -106,3 +110,65 @@ def test_vanishing_orders_match_jet_pivots():
             assert orders == _jet_pivots(plane, t), (plane, t)
         deep += orders[-1] >= plane.m - 2
     assert deep >= 4
+
+
+def _divide_linear_order(f, t0):
+    # the Fraction loop vanishing_order replaced: divide by (t - t0) until
+    # the remainder is nonzero
+    order = 0
+    while True:
+        f, rem = f.divide_linear(t0)
+        if rem:
+            return order
+        order += 1
+
+
+def _planted_polys():
+    """(f, t0, r): a seeded cofactor times (v*t - u)^r for t0 = u/v, over Q
+    and over Q(sqrt(13))."""
+    rng = random.Random(34)
+    surds = [p for plane in wronski_solver_gr24([F(0), F(1), F(2), F(3)])
+             for p in plane.basis]
+    out = []
+    for t0 in (F(0), F(1), F(-2), F(1, 3), F(-4, 5)):
+        factor = PolyQ([-t0.numerator, t0.denominator])
+        for r in range(6):
+            cofactors = [PolyQ([F(rng.randint(-9, 9), rng.randint(1, 9))
+                                for _ in range(rng.randint(1, 6))]),
+                         rng.choice(surds)]
+            for f in cofactors:
+                if f.is_zero:
+                    continue
+                for _ in range(r):
+                    f = f * factor
+                out.append((f, t0, r))
+    return out
+
+
+def test_vanishing_order_matches_divide_linear():
+    exact = 0
+    for f, t0, r in _planted_polys():
+        for t in POINTS + (t0,):
+            assert vanishing_order(f, t) == _divide_linear_order(f, t), (f, t)
+        order = vanishing_order(f, t0)
+        assert order >= r
+        exact += order == r
+    assert exact >= 40
+    W = wronskian(_sqrt13_plane())
+    for t in POINTS + (F(2), F(3), F(1, 3)):
+        assert vanishing_order(W, t) == _divide_linear_order(W, t), t
+    with pytest.raises(ZeroPolynomial):
+        vanishing_order(PolyQ(), F(1))
+
+
+def test_plane_identity_ignores_scaled_rows():
+    plane = _sqrt13_plane()
+    private = {f.name for f in fields(PolyPlane) if f.name.startswith("_")}
+    assert private == {"_rows", "_scales"}
+    for p in _seeded_planes() + [plane]:
+        twin = PolyPlane(p.m, p.k, list(p.basis))
+        object.__setattr__(twin, "_rows", [[0] * p.m] * p.k)
+        object.__setattr__(twin, "_scales", [7] * p.k)
+        assert twin == p and hash(twin) == hash(p)
+        assert repr(twin) == repr(p) == (
+            f"PolyPlane(m={p.m}, k={p.k}, basis={p.basis!r})")
