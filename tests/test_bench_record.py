@@ -65,3 +65,13 @@ def test_environment_must_not_change():
     with pytest.raises(SystemExit):
         bench_record.add_run(rec, "eh_check", 2, dict(ENV, git_revision="def"),
                              rec["runs"][0]["result"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--label", "x", "--seeds", "1,2,1"],
+    ["--label", "x", "--workloads", "eh_check,no_such_workload"],
+])
+def test_recording_rejects_bad_selection_before_running(argv):
+    with pytest.raises(SystemExit) as e:
+        bench_record.main(argv)
+    assert e.value.code == 2

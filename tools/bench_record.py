@@ -1,17 +1,19 @@
 """Record benchmark runs in BENCH_<label>.json files and compare two of them.
 
-    python3 tools/bench_record.py --label NAME [--checkout DIR]
+    python3 tools/bench_record.py --label NAME
         [--base-checkout DIR --base-label BASE] [--workloads W,...]
-        [--seeds 1,2,3] [--seconds 25]
+        [--seeds 1,2,...,10]
     python3 tools/bench_record.py --compare BENCH_BASE.json BENCH_NAME.json
 
 Recording runs ``python3 perfbench/run.py --workload W --seed N --seconds S
---trace 0`` of the checkout (this one by default) as it stands, once per
-workload and seed, and writes ``BENCH_<label>.json`` at the root of this
-repository: the environment line of the runs (Python, platform, git
-revision, nproc) and each run's final JSON line.  With ``--base-checkout``
-every run is paired with the same run of that checkout, the two alternating
-which goes first, and the base runs go to ``BENCH_<base-label>.json``.
+--trace 0`` of this checkout as it stands, once per workload and seed, and
+writes ``BENCH_<label>.json`` at the root of this repository: the
+environment line of the runs (Python, platform, git revision, nproc) and
+each run's final JSON line.  The workloads and the run length S come from
+``BENCHMARK.json``; ``--workloads`` picks a subset of them.  With
+``--base-checkout`` every run is paired with the same run of that checkout,
+the two alternating which goes first, and the base runs go to
+``BENCH_<base-label>.json``.
 
 ``--compare`` prints, per workload and end-to-end metric of
 ``BENCHMARK.json``, the base median and quartile spread, the new median,
@@ -65,20 +67,14 @@ def add_run(rec: dict, workload: str, seed: int, env: dict, result: dict) -> Non
     rec["runs"].append({"workload": workload, "seed": seed, "result": result})
 
 
-def end_to_end_metrics() -> list[dict]:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return spec["end_to_end"]
+def benchmark_spec() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def _values(rec: dict, workload: str, metric: str) -> dict:
-    """(seed, occurrence) -> value, for the runs of one workload."""
-    out: dict = {}
-    for run in rec["runs"]:
-        if run["workload"] == workload:
-            seed = run["seed"]
-            n = sum(1 for s, _ in out if s == seed)
-            out[seed, n] = run["result"]["metrics"][metric]["value"]
-    return out
+    """seed -> value, for the runs of one workload."""
+    return {run["seed"]: run["result"]["metrics"][metric]["value"]
+            for run in rec["runs"] if run["workload"] == workload}
 
 
 def _quartile_spread(values: list) -> float:
@@ -137,33 +133,38 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", nargs=2, metavar=("BASE", "NEW"))
     parser.add_argument("--label")
-    parser.add_argument("--checkout", type=Path, default=ROOT)
     parser.add_argument("--base-checkout", type=Path)
     parser.add_argument("--base-label")
-    parser.add_argument("--workloads",
-                        default="four_lines,tangent_sweep,eh_check,flag_identities")
-    parser.add_argument("--seeds", default="1,2,3")
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--workloads", help="a subset of BENCHMARK.json's "
+                        "workloads, comma-separated (default: all)")
+    parser.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10")
     args = parser.parse_args(argv)
+    spec = benchmark_spec()
 
     if args.compare:
         base, new = (json.loads(Path(p).read_text(encoding="utf-8"))
                      for p in args.compare)
-        print(format_rows(base, new, compare(base, new, end_to_end_metrics())))
+        print(format_rows(base, new, compare(base, new, spec["end_to_end"])))
         return 0
     if not args.label or (args.base_checkout is None) != (args.base_label is None):
         parser.error("recording needs --label, and --base-label exactly "
                      "when --base-checkout is given")
-
-    sides = [(args.checkout, record(args.label, args.seconds))]
-    if args.base_checkout is not None:
-        sides.append((args.base_checkout, record(args.base_label, args.seconds)))
     seeds = [int(s) for s in args.seeds.split(",")]
-    workloads = args.workloads.split(",")
+    if len(set(seeds)) != len(seeds):
+        parser.error(f"--seeds repeats a seed: {args.seeds}")
+    names = [w["name"] for w in spec["workloads"]]
+    workloads = args.workloads.split(",") if args.workloads else names
+    if not set(workloads) <= set(names):
+        parser.error(f"--workloads must be among {', '.join(names)}")
+    seconds = spec["run_seconds"]
+
+    sides = [(ROOT, record(args.label, seconds))]
+    if args.base_checkout is not None:
+        sides.append((args.base_checkout, record(args.base_label, seconds)))
     for i, seed in enumerate(seeds):
         for workload in workloads:
             for checkout, rec in sides[::-1] if i % 2 else sides:
-                env, result = run_once(checkout, workload, seed, args.seconds)
+                env, result = run_once(checkout, workload, seed, seconds)
                 add_run(rec, workload, seed, env, result)
                 path = _write(rec)  # after every run, so a cut run keeps its data
                 print(f"{path.name}: {workload} seed {seed}, "
