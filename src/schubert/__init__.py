@@ -10,7 +10,7 @@ from .errors import (DegenerateConfiguration, DimensionMismatch,
                      InfinitelyMany, NegativeExpectedDimension, NoSolution,
                      NotInCellInterior, NotMember, NotNilpotent,
                      SchubertError, UnsupportedGroup, ZeroPolynomial)
-from .linalg import (Matrix, QuadExt, Rational, det, exp_nilpotent, inverse,
+from .linalg import (Matrix, QuadExt, det, exp_nilpotent, inverse,
                      kernel, rank, rref, simplify_matrix, simplify_scalar,
                      solve_quadratic, square_split)
 from .poly import PolyQ
@@ -39,7 +39,7 @@ __all__ = [
     "EHReport", "ExpectedDimReport", "Flag", "GrPoint", "GroupKind",
     "InfinitelyMany", "Matrix", "NegativeExpectedDimension", "NoSolution",
     "NotInCellInterior", "NotMember", "NotNilpotent", "PermCondition",
-    "PolyPlane", "PolyQ", "QuadExt", "Rational", "SchubertCondition",
+    "PolyPlane", "PolyQ", "QuadExt", "SchubertCondition",
     "SchubertError", "TangentSpace", "TransversalityCertificate",
     "UnsupportedGroup", "ZeroPolynomial", "cell_interior", "check_eh_identity",
     "codim", "condition_codim", "curve_point", "curve_polynomials", "det",

@@ -1,9 +1,8 @@
 """Batch command-line front end.
 
 Every command is deterministic given its arguments and prints a single JSON
-object (or a plain-text rendering with ``--format plain``).  All scalar
-values are exact strings, never floats.  The environment variable
-``SCHUBERT_OUTPUT`` (``json`` or ``plain``) overrides the ``--format`` flag.
+object, or a plain-text rendering of it with ``--format plain``, given
+before the subcommand.  All scalar values are exact strings, never floats.
 
 Exit codes: 0 success, 1 a mathematical claim failed to verify, 2 parse
 error, 3 unsupported group/operation, 4 degenerate configuration.
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -48,14 +46,10 @@ MAX_EH_SAMPLES = 1000
 
 def _kind_from_args(args) -> GroupKind:
     tag = _KIND_NAMES[args.kind]
-    if tag == "SL":
-        if args.m is None:
-            raise ValueError("--kind sl requires --m")
-        kind = GroupKind.sl(args.m)
-    else:
-        if args.n is None:
-            raise ValueError(f"--kind {args.kind} requires --n")
-        kind = GroupKind(tag, args.n)
+    option, size = ("--m", args.m) if tag == "SL" else ("--n", args.n)
+    if size is None:
+        raise ValueError(f"--kind {args.kind} requires {option}")
+    kind = GroupKind(tag, size)
     if kind.ambient_dim > MAX_AMBIENT_DIM:
         raise ValueError(f"ambient dimension {kind.ambient_dim} exceeds "
                          f"the limit of {MAX_AMBIENT_DIM}")
@@ -101,21 +95,24 @@ def cmd_osculating_flag(args):
     return EXIT_OK, payload
 
 
-def cmd_verify_isotropy(args):
-    kind = _kind_from_args(args)
-    form = gram_matrix(kind)
-    ts = _checked_points(args.t, "--t")
-    results = []
-    for t in ts:
-        ok = is_isotropic_flag(osculating_flag(kind, t), form)
-        results.append({"t": jsonio.rational_to_str(t), "isotropic": ok})
-    all_ok = all(r["isotropic"] for r in results)
+def _point_verdicts(kind, ts, key, check):
+    """Run ``check(t)`` at every point; exit 1 unless all of them hold."""
+    results = [{"t": jsonio.rational_to_str(t), key: check(t)} for t in ts]
+    all_ok = all(r[key] for r in results)
     payload = {
         "kind": jsonio.kind_to_json(kind),
         "results": results,
-        "all_isotropic": all_ok,
+        f"all_{key}": all_ok,
     }
     return (EXIT_OK if all_ok else EXIT_CLAIM), payload
+
+
+def cmd_verify_isotropy(args):
+    kind = _kind_from_args(args)
+    form = gram_matrix(kind)
+    return _point_verdicts(
+        kind, _checked_points(args.t, "--t"), "isotropic",
+        lambda t: is_isotropic_flag(osculating_flag(kind, t), form))
 
 
 def cmd_nilpotent(args):
@@ -134,18 +131,10 @@ def cmd_nilpotent(args):
 
 def cmd_peterson_check(args):
     kind = _kind_from_args(args)
-    ts = _checked_points(args.t, "--t")
-    results = []
-    for t in ts:
-        same = flags_equal(exp_translate_flag(kind, t), osculating_flag(kind, t))
-        results.append({"t": jsonio.rational_to_str(t), "equal": same})
-    all_ok = all(r["equal"] for r in results)
-    payload = {
-        "kind": jsonio.kind_to_json(kind),
-        "results": results,
-        "all_equal": all_ok,
-    }
-    return (EXIT_OK if all_ok else EXIT_CLAIM), payload
+    return _point_verdicts(
+        kind, _checked_points(args.t, "--t"), "equal",
+        lambda t: flags_equal(exp_translate_flag(kind, t),
+                              osculating_flag(kind, t)))
 
 
 def _solve_and_certify(flags, mode_payload):
@@ -176,6 +165,8 @@ def cmd_solve_four_lines(args):
     if args.osculating:
         if args.points is None:
             raise ValueError("--osculating requires --points")
+        if args.seed is not None:
+            raise ValueError("--seed is not used with --osculating")
         pts = _rational_list(args.points)
         if len(pts) != 4:
             raise ValueError("--points needs exactly four rational values")
@@ -184,6 +175,8 @@ def cmd_solve_four_lines(args):
         mode = {"mode": "osculating",
                 "points": [jsonio.rational_to_str(t) for t in pts]}
     else:
+        if args.points is not None:
+            raise ValueError("--points is not used with --isotropic-sp4")
         seed = args.seed if args.seed is not None else 0
         rng = random.Random(seed)
         child = [rng.getrandbits(32) for _ in range(4)]
@@ -228,23 +221,40 @@ def cmd_eh_check(args):
     return (EXIT_OK if not failures else EXIT_CLAIM), payload
 
 
+def _json_int(value, field: str) -> int:
+    # bool is a subclass of int; JSON true, 2.9 or "13" is no integer here
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_ints(value, field: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a JSON array, got {json.dumps(value)}")
+    return tuple(_json_int(x, f"{field}[{i}]") for i, x in enumerate(value))
+
+
 def cmd_dim_report(args):
     with open(args.problem_file, encoding="utf-8") as fh:
         data = json.load(fh)
     ambient = data["ambient"]
-    m = int(ambient["m"])
-    dims = [int(d) for d in ambient["dims"]]
+    m = _json_int(ambient["m"], "ambient.m")
+    dims = _json_ints(ambient["dims"], "ambient.dims")
     dim = flag_manifold_dim(dims, m)
     conds = []
-    for entry in data.get("conditions", []):
+    entries = data.get("conditions", [])
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ValueError("conditions must be a JSON array of objects")
+    for n, entry in enumerate(entries):
         if "perm" in entry:
-            conds.append(PermCondition(m, tuple(int(x) for x in entry["perm"]),
-                                       tuple(dims)))
+            conds.append(PermCondition(
+                m, _json_ints(entry["perm"], f"conditions[{n}].perm"), dims))
         elif "indices" in entry:
             if len(dims) != 1:
                 raise ValueError("index conditions need a single-step ambient")
             conds.append(SchubertCondition(
-                dims[0], m, tuple(int(x) for x in entry["indices"])))
+                dims[0], m, _json_ints(entry["indices"],
+                                       f"conditions[{n}].indices")))
         else:
             raise ValueError(f"condition needs 'perm' or 'indices': {entry}")
     report = expected_dim_report(conds, dim)
@@ -297,14 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact osculating/isotropic flags and Schubert "
                     "transversality certificates.")
     parser.add_argument("--format", choices=("json", "plain"), default="json")
-    # Accept --format on either side of the subcommand; SUPPRESS keeps the
-    # subparser from clobbering a value given before it.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "plain"),
-                        default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("curve", help="evaluate the group's rational normal curve")
     _add_kind_arguments(p)
@@ -375,24 +378,19 @@ _PARSER = build_parser()
 def _render_plain(value, indent: int = 0) -> list[str]:
     pad = "  " * indent
     if isinstance(value, dict):
-        lines = []
-        for key, val in value.items():
-            if isinstance(val, (dict, list)) and val and not _is_flat_list(val):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_plain(val, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_inline(val)}")
-        return lines
-    if isinstance(value, list):
-        lines = []
-        for item in value:
-            if isinstance(item, (dict, list)) and item and not _is_flat_list(item):
-                lines.append(f"{pad}-")
-                lines.extend(_render_plain(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_inline(item)}")
-        return lines
-    return [f"{pad}{_inline(value)}"]
+        items = [(f"{key}:", val) for key, val in value.items()]
+    elif isinstance(value, list):
+        items = [("-", item) for item in value]
+    else:
+        return [f"{pad}{_inline(value)}"]
+    lines = []
+    for label, val in items:
+        if isinstance(val, (dict, list)) and val and not _is_flat_list(val):
+            lines.append(f"{pad}{label}")
+            lines.extend(_render_plain(val, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_inline(val)}")
+    return lines
 
 
 def _is_flat_list(v) -> bool:
@@ -423,11 +421,7 @@ def _error(e: Exception) -> dict:
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    fmt = os.environ.get("SCHUBERT_OUTPUT") or args.format
     try:
-        if fmt not in ("json", "plain"):
-            raise ValueError(
-                f"SCHUBERT_OUTPUT must be 'json' or 'plain', got {fmt!r}")
         code, payload = args.handler(args)
     except UnsupportedGroup as e:
         code, payload = EXIT_UNSUPPORTED, _error(e)
@@ -436,7 +430,7 @@ def main(argv=None) -> int:
         code, payload = EXIT_DEGENERATE, _error(e)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as e:
         code, payload = EXIT_PARSE, _error(e)
-    _emit(payload, fmt)  # a format other than "plain" prints JSON
+    _emit(payload, args.format)
     return code
 
 

@@ -115,7 +115,7 @@ class Flag:
 
     def prefix(self, i: int) -> Matrix:
         """Basis of the i-dimensional subspace, as an m x i matrix."""
-        return self.basis.prefix_columns(i)
+        return self.basis.take_columns(range(i))
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def curve_polynomials(kind: GroupKind) -> tuple[PolyQ, ...]:
 def curve_point(kind: GroupKind, t) -> Matrix:
     """The curve evaluated at rational t, as an m x 1 column."""
     t = Fraction(t)
-    return Matrix.column_vector([p(t) for p in curve_polynomials(kind)])
+    return Matrix.from_columns([[p(t) for p in curve_polynomials(kind)]])
 
 
 def osculating_flag(kind: GroupKind, t) -> Flag:

@@ -236,16 +236,16 @@ def transversality_certificate(
         conditions: Sequence[tuple[SchubertCondition, Flag]]) -> TransversalityCertificate:
     """Stack all tangent constraints at V and compare rank with codim sum."""
     k, m = V.k, V.ambient_dim
-    stacked = Matrix([[] for _ in range(0)], shape=(0, k * (m - k)))
+    rows = []
     total = 0
     for idx, (cond, F) in enumerate(conditions):
         try:
             T = tangent_space(V, cond, F)
         except NotInCellInterior as e:
             raise NotInCellInterior(f"condition {idx}: {e}") from None
-        stacked = stacked.vstack(T.constraints)
+        rows.extend(T.constraints.to_rows())
         total += codim(cond)
-    r = rank(stacked)
+    r = rank(Matrix(rows, shape=(len(rows), k * (m - k))))
     return TransversalityCertificate(transverse=(r == total),
                                      tangent_codim=r, codim_sum=total)
 
@@ -253,9 +253,7 @@ def transversality_certificate(
 # -- the four-lines solver ---------------------------------------------------
 
 
-def small_solver_gr24(flags: Sequence[Flag],
-                      conditions: Sequence[SchubertCondition] | None = None
-                      ) -> list[GrPoint]:
+def small_solver_gr24(flags: Sequence[Flag]) -> list[GrPoint]:
     """All V in Gr(2, 4) meeting the 2-plane of each of four flags.
 
     Writes V = span(a, b) with a in the first flag's 2-plane A and b in the
@@ -271,12 +269,6 @@ def small_solver_gr24(flags: Sequence[Flag],
     flags = list(flags)
     if len(flags) != 4:
         raise ValueError("exactly four flags are required")
-    want = iota(2, 4)
-    if conditions is not None:
-        conditions = list(conditions)
-        if len(conditions) != 4 or any(c != want for c in conditions):
-            raise ValueError("this solver handles four copies of the"
-                             " codimension-one condition on Gr(2, 4)")
     for f in flags:
         if f.ambient_dim != 4:
             raise DimensionMismatch("flags must live in C^4")
@@ -318,12 +310,10 @@ def small_solver_gr24(flags: Sequence[Flag],
 
     out = []
     for x0, x1 in xs:
+        # u = 0 would put B and C in the 3-space span(a, C), so they would
+        # meet; the transversality checks above rule that out
         u = (x0 * M[0][0] + x1 * M[1][0], x0 * M[0][1] + x1 * M[1][1])
-        v = (x0 * N[0][0] + x1 * N[1][0], x0 * N[0][1] + x1 * N[1][1])
-        w = u if (u[0] or u[1]) else v
-        if not (w[0] or w[1]):
-            raise InfinitelyMany("a whole pencil of lines satisfies all conditions")
-        y0, y1 = w[1], -w[0]
+        y0, y1 = u[1], -u[0]
         col_a = [x0 * a1[r] + x1 * a2[r] for r in range(4)]
         col_b = [y0 * b1[r] + y1 * b2[r] for r in range(4)]
         basis = simplify_matrix(Matrix.from_columns([col_a, col_b], rows=4))

@@ -7,6 +7,7 @@ Rationals serialize as "p/q" ("p" when q == 1); quadratic irrationals as
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .flags import Flag, GroupKind
@@ -35,7 +36,11 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 
 def rational_to_str(x) -> str:
-    return str(Fraction(x))
+    # Decimal prints an int of any size; str(int) stops at the interpreter's
+    # int-printing limit, which parse_rational keeps relying on
+    x = Fraction(x)
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def parse_rational(s: str) -> Fraction:

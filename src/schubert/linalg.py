@@ -20,7 +20,6 @@ from typing import Iterable, Sequence, Union
 from .errors import NoSolution, NotNilpotent
 
 __all__ = [
-    "Rational",
     "Scalar",
     "QuadExt",
     "Matrix",
@@ -35,9 +34,6 @@ __all__ = [
     "simplify_scalar",
     "simplify_matrix",
 ]
-
-Rational = Fraction
-
 
 # Trial-division bound for square extraction.  Beyond this we only test the
 # remaining cofactor for being a perfect square, so a square of a prime above
@@ -294,10 +290,6 @@ class Matrix:
                    shape=(n, n))
 
     @classmethod
-    def column_vector(cls, entries: Sequence) -> "Matrix":
-        return cls([[e] for e in entries], shape=(len(entries), 1))
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence], rows: int | None = None) -> "Matrix":
         if rows is None:
             if not cols:
@@ -336,9 +328,6 @@ class Matrix:
         return Matrix([[row[j] for j in idxs] for row in self._data],
                       shape=(self._rows, len(idxs)))
 
-    def prefix_columns(self, n: int) -> "Matrix":
-        return self.take_columns(range(n))
-
     # -- algebra ---------------------------------------------------------------
     def transpose(self) -> "Matrix":
         return Matrix([[self._data[i][j] for i in range(self._rows)]
@@ -350,12 +339,6 @@ class Matrix:
         return Matrix([ra + rb for ra, rb in zip(self._data, other._data)],
                       shape=(self._rows, self._cols + other._cols))
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self._cols != other._cols:
-            raise ValueError("vstack needs equal column counts")
-        return Matrix(self._data + other._data,
-                      shape=(self._rows + other._rows, self._cols))
-
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -364,11 +347,6 @@ class Matrix:
         return Matrix([[x + y for x, y in zip(ra, rb)]
                        for ra, rb in zip(self._data, other._data)],
                       shape=(self._rows, self._cols))
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + (-other)
 
     def __neg__(self):
         return Matrix([[-x for x in row] for row in self._data],
@@ -380,20 +358,13 @@ class Matrix:
                       shape=(self._rows, self._cols))
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self._cols != other._rows:
-                raise ValueError("shape mismatch in matrix product")
-            bt = other.transpose()._data
-            return Matrix([[_dot(row, col) for col in bt] for row in self._data],
-                          shape=(self._rows, other._cols))
-        if isinstance(other, (int, Fraction, QuadExt)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QuadExt)):
-            return self.scale(other)
-        return NotImplemented
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self._cols != other._rows:
+            raise ValueError("shape mismatch in matrix product")
+        bt = other.transpose()._data
+        return Matrix([[_dot(row, col) for col in bt] for row in self._data],
+                      shape=(self._rows, other._cols))
 
     def is_zero(self) -> bool:
         return all(not x for row in self._data for x in row)

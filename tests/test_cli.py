@@ -66,7 +66,22 @@ def test_huge_decimal_exponent_exits_2_at_once(capsys):
     assert time.perf_counter() - start < 5.0
 
 
-def test_errors_name_their_type(capsys, monkeypatch, tmp_path):
+def test_exact_output_has_no_digit_limit(capsys):
+    # t**2 = 10**6000 has more digits than Python prints from an int by
+    # default; the output must still be exact
+    start = time.perf_counter()
+    code, data = run_json(capsys, "curve", "--kind", "sl", "--m", "3",
+                          "--t", "1e3000")
+    assert code == 0
+    assert data["point"] == ["1", "1" + "0" * 3000, "1" + "0" * 6000]
+    assert time.perf_counter() - start < 5.0
+    # while an input literal of that size is still refused
+    code, data = run_json(capsys, "curve", "--kind", "sl", "--m", "3",
+                          "--t", "1" * 5000)
+    assert (code, data["error_type"]) == (2, "ValueError")
+
+
+def test_errors_name_their_type(capsys, tmp_path):
     code, data = run_json(capsys, "curve", "--kind", "so-even", "--n", "2",
                           "--t", "1")
     assert (code, data["error_type"]) == (3, "UnsupportedGroup")
@@ -79,10 +94,6 @@ def test_errors_name_their_type(capsys, monkeypatch, tmp_path):
                           "--condition", "1,2@0", "--condition", "2,4@1",
                           "--fresh", "5")
     assert (code, data["error_type"]) == (4, "NegativeExpectedDimension")
-    monkeypatch.setenv("SCHUBERT_OUTPUT", "yaml")
-    code, data = run_json(capsys, "curve", "--kind", "sl", "--m", "3",
-                          "--t", "0")
-    assert (code, data["error_type"]) == (2, "ValueError")
     assert list(data) == ["error", "error_type"]
 
 
@@ -114,6 +125,27 @@ def test_verify_isotropy_empty_list(capsys):
             code, data = run_json(capsys, command, "--kind", "so-odd",
                                   "--n", "2", "--t", points)
             assert code == 2 and "--t" in data["error"], (command, points)
+
+
+def test_verify_isotropy_needs_a_form_before_points(capsys):
+    # SL(m) preserves no form: exit 3 even when the point list is empty
+    code, data = run_json(capsys, "verify-isotropy", "--kind", "sl",
+                          "--m", "3", "--t", "")
+    assert (code, data["error_type"]) == (3, "UnsupportedGroup")
+
+
+def test_point_verdicts_exit_1_when_a_check_fails(capsys, monkeypatch):
+    real = cli.flags_equal
+    calls = iter([True, False, True])
+    monkeypatch.setattr(cli, "flags_equal", lambda a, b: real(a, b) and next(calls))
+    code, data = run_json(capsys, "peterson-check", "--kind", "sp", "--n", "2",
+                          "--t", "0,1,2")
+    assert code == 1 and data["all_equal"] is False
+    assert [r["equal"] for r in data["results"]] == [True, False, True]
+    monkeypatch.setattr(cli, "is_isotropic_flag", lambda flag, form: False)
+    code, data = run_json(capsys, "verify-isotropy", "--kind", "sp", "--n", "2",
+                          "--t", "0")
+    assert code == 1 and data["all_isotropic"] is False
 
 
 def test_nilpotent_payloads(capsys):
@@ -162,6 +194,15 @@ def test_solve_four_lines_mode_required(capsys):
     code, data = run_json(capsys, "solve-four-lines", "--osculating",
                           "--isotropic-sp4", "--points", "0,1,2,3")
     assert code == 2
+
+
+def test_solve_four_lines_rejects_an_option_its_mode_ignores(capsys):
+    code, data = run_json(capsys, "solve-four-lines", "--isotropic-sp4",
+                          "--points", "0,1,2,3")
+    assert code == 2 and "--points" in data["error"]
+    code, data = run_json(capsys, "solve-four-lines", "--osculating",
+                          "--points", "0,1,2,3", "--seed", "5")
+    assert code == 2 and "--seed" in data["error"]
 
 
 def test_eh_check(capsys):
@@ -250,6 +291,28 @@ def test_dim_report_huge_m_exits_2(capsys, tmp_path):
     assert code == 2 and "permutation" in data["error"]
 
 
+@pytest.mark.parametrize("problem, field", [
+    ({"ambient": {"m": 5, "dims": "13"}}, "ambient.dims"),
+    ({"ambient": {"m": 5, "dims": [1, 3]},
+      "conditions": [{"perm": "32514"}]}, "conditions[0].perm"),
+    ({"ambient": {"m": 5, "dims": [1, 3]},
+      "conditions": [{"perm": [3, 2.9, 5, 1, 4]}]}, "conditions[0].perm[1]"),
+    ({"ambient": {"m": 4.9, "dims": [2]}}, "ambient.m"),
+    ({"ambient": {"m": 4, "dims": [True]}}, "ambient.dims[0]"),
+    ({"ambient": {"m": 4, "dims": [2]},
+      "conditions": [{"indices": [2, 4]}, {"indices": [True, 4]}]},
+     "conditions[1].indices[0]"),
+    ({"ambient": {"m": 4, "dims": [2]}, "conditions": ""}, "conditions"),
+])
+def test_dim_report_takes_only_json_integers_and_arrays(capsys, tmp_path,
+                                                        problem, field):
+    # int() and iteration used to read each of these as a different problem
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(problem))
+    code, data = run_json(capsys, "dim-report", str(path))
+    assert code == 2 and field in data["error"], data
+
+
 def test_pad_command(capsys):
     code, data = run_json(capsys, "pad", "--k", "2", "--m", "4",
                           "--condition", "2,4@0", "--condition", "2,4@1",
@@ -329,27 +392,18 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     assert code == 0 and data["point"] == ["1", "1", "1"]
 
 
-def test_env_var_overrides_format(capsys, monkeypatch):
-    monkeypatch.setenv("SCHUBERT_OUTPUT", "plain")
-    code, out = run_cli(capsys, "--format", "json", "curve", "--kind", "sl",
-                        "--m", "3", "--t", "1/2")
-    assert code == 0
-    assert "point: [1, 1/2, 1/4]" in out
-    with pytest.raises(json.JSONDecodeError):
-        json.loads(out)
-
-
-def test_env_var_validated(capsys, monkeypatch):
-    monkeypatch.setenv("SCHUBERT_OUTPUT", "yaml")
-    code, _ = run_cli(capsys, "curve", "--kind", "sl", "--m", "3", "--t", "0")
-    assert code == 2
-
-
 def test_plain_format_flag(capsys):
     code, out = run_cli(capsys, "--format", "plain", "nilpotent", "--kind",
                         "sl", "--m", "3")
     assert code == 0
     assert "nilpotency_index: 3" in out
+
+
+def test_format_goes_before_the_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nilpotent", "--kind", "sl", "--m", "3", "--format", "plain"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_installed_entry_point_runs():

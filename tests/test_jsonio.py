@@ -22,6 +22,16 @@ def test_rational_strings():
         jsonio.parse_rational("1.5e3x")
 
 
+def test_rational_strings_of_any_size():
+    # beyond the interpreter's default of 4300 digits for str(int)
+    big = 10 ** 5000
+    assert jsonio.rational_to_str(F(-big - 1, 3)) == "-1" + "0" * 4999 + "1/3"
+    assert jsonio.rational_to_str(F(7, big)) == "7/1" + "0" * 5000
+    assert jsonio.rational_to_str(0) == "0"
+    for x in (F(-4, 3), F(10 ** 600 - 1, 10 ** 601), F(-(10 ** 4000))):
+        assert jsonio.rational_to_str(x) == str(x)
+
+
 def test_decimal_exponent_is_bounded():
     assert jsonio.parse_rational("1e5") == 100000
     assert jsonio.parse_rational("2.5e-3") == F(1, 400)

@@ -18,8 +18,8 @@ import pytest
 
 import schubert
 from schubert.errors import (DegenerateConfiguration, DimensionMismatch,
-                             NegativeExpectedDimension, NotInCellInterior,
-                             NotMember)
+                             InfinitelyMany, NegativeExpectedDimension,
+                             NotInCellInterior, NotMember)
 from schubert.flags import Flag, GroupKind, osculating_flag
 from schubert.grassmann import (ExpectedDimReport, GrPoint, PermCondition,
                                 SchubertCondition, cell_interior, codim,
@@ -318,14 +318,6 @@ def test_solver_osculating_instance():
         assert cert.transverse and cert.tangent_codim == 4
 
 
-def test_solver_accepts_matching_conditions_argument():
-    flags = _osc_flags((0, 1, 2, 3))
-    conds = [iota(2, 4)] * 4
-    assert len(small_solver_gr24(flags, conds)) == 2
-    with pytest.raises(ValueError):
-        small_solver_gr24(flags, [SchubertCondition(2, 4, (1, 4))] * 4)
-
-
 def test_solver_repeated_point_degenerate():
     with pytest.raises(DegenerateConfiguration):
         small_solver_gr24(_osc_flags((0, 1, 2, 2)))
@@ -333,7 +325,7 @@ def test_solver_repeated_point_degenerate():
 
 def test_solver_shared_plane_degenerate():
     flags = _osc_flags((0, 1, 2, 3))
-    flags[3] = Flag(4, flags[2].basis.prefix_columns(2).hstack(
+    flags[3] = Flag(4, flags[2].basis.take_columns(range(2)).hstack(
         Flag.coordinate(4).basis.take_columns([0, 3])))
     if rank(flags[3].basis) == 4:
         with pytest.raises(DegenerateConfiguration):
@@ -353,6 +345,60 @@ def test_solver_random_rational_flags():
         for V in sols:
             for fl in flags:
                 assert membership(V, cond, fl)
+
+
+def test_solver_root_at_infinity():
+    # C and D have second flag vectors a2 + lam*b2 and a2 + mu*b2, so the
+    # line span(a2, b2) meets all four planes; it is the solution with
+    # a = a2, x = (0, 1), where the quadratic in x1 loses its x1^2 term
+    rng = random.Random(2)
+
+    def vec(bound):
+        return [F(rng.randint(-bound, bound)) for _ in range(4)]
+
+    cond = iota(2, 4)
+    for _ in range(20):
+        a1, a2, b1, b2, c1, d1 = (vec(5) for _ in range(6))
+        lam, mu = rng.randint(1, 5), rng.randint(-5, -1)
+        firsts = [(a1, a2), (b1, b2),
+                  (c1, [x + lam * y for x, y in zip(a2, b2)]),
+                  (d1, [x + mu * y for x, y in zip(a2, b2)])]
+        flags = [Flag(4, Matrix.from_columns([p, q, vec(999), vec(999)]))
+                 for p, q in firsts]
+        sols = small_solver_gr24(flags)
+        assert len(sols) == 2
+        assert rank(sols[0].basis.hstack(sols[1].basis)) > 2
+        line = Matrix.from_columns([a2, b2])
+        assert [rank(V.basis.hstack(line)) for V in sols].count(2) == 1
+        for V in sols:
+            assert all(membership(V, cond, fl) for fl in flags)
+            cert = transversality_certificate(V, [(cond, fl) for fl in flags])
+            assert cert.transverse and cert.tangent_codim == 4
+
+
+def _plane_flag(p, q):
+    """A flag whose 2-plane is span(p, q), completed by e3 and e4."""
+    return Flag(4, Matrix.from_columns(
+        [p, q, [0, 0, 1, 0], [0, 0, 0, 1]]))
+
+
+def test_solver_one_ruling_infinitely_many():
+    # span((1,0,a,0), (0,1,0,a)) are lines of one ruling of the quadric
+    # x0*x3 = x1*x2; every line of the other ruling meets all four
+    flags = [_plane_flag([1, 0, a, 0], [0, 1, 0, a]) for a in range(4)]
+    with pytest.raises(InfinitelyMany):
+        small_solver_gr24(flags)
+
+
+def test_solver_tangent_line_double_solution():
+    # the lines meeting the first three planes form the other ruling of
+    # x0*x3 = x1*x2; the fourth line touches the quadric at (1,1,3,3) only
+    # (it lies in the tangent plane 3x0 - 3x1 - x2 + x3 = 0 there), so the
+    # two solutions coincide
+    flags = [_plane_flag([1, 0, a, 0], [0, 1, 0, a]) for a in range(3)]
+    flags.append(_plane_flag([1, 1, 3, 3], [2, 1, 3, 0]))
+    with pytest.raises(DegenerateConfiguration, match="double solution"):
+        small_solver_gr24(flags)
 
 
 def test_solver_needs_four_flags_in_dim_four():
