@@ -234,29 +234,42 @@ def _json_ints(value, field: str) -> tuple[int, ...]:
     return tuple(_json_int(x, f"{field}[{i}]") for i, x in enumerate(value))
 
 
+def _json_object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def cmd_dim_report(args):
     with open(args.problem_file, encoding="utf-8") as fh:
-        data = json.load(fh)
-    ambient = data["ambient"]
-    m = _json_int(ambient["m"], "ambient.m")
-    dims = _json_ints(ambient["dims"], "ambient.dims")
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            # the decoder recurses once per level of nesting
+            raise ValueError(f"{args.problem_file} nests too deeply") from None
+    data = _json_object(data, "the top level")
+    # a missing key reads as null, so its error names its path too
+    ambient = _json_object(data.get("ambient"), "ambient")
+    m = _json_int(ambient.get("m"), "ambient.m")
+    dims = _json_ints(ambient.get("dims"), "ambient.dims")
     dim = flag_manifold_dim(dims, m)
     conds = []
     entries = data.get("conditions", [])
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise ValueError("conditions must be a JSON array of objects")
     for n, entry in enumerate(entries):
+        if ("perm" in entry) == ("indices" in entry):
+            raise ValueError(f"conditions[{n}] needs exactly one of 'perm' "
+                             f"or 'indices': {json.dumps(entry)}")
         if "perm" in entry:
             conds.append(PermCondition(
                 m, _json_ints(entry["perm"], f"conditions[{n}].perm"), dims))
-        elif "indices" in entry:
+        else:
             if len(dims) != 1:
                 raise ValueError("index conditions need a single-step ambient")
             conds.append(SchubertCondition(
                 dims[0], m, _json_ints(entry["indices"],
                                        f"conditions[{n}].indices")))
-        else:
-            raise ValueError(f"condition needs 'perm' or 'indices': {entry}")
     report = expected_dim_report(conds, dim)
     payload = {
         "dim": dim,

@@ -19,13 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, perm
+from math import factorial, lcm
 from operator import mul
 
 from .errors import DimensionMismatch, UnsupportedGroup
 from .linalg import (Matrix, _echelon, _integer_rows, _nilpotent_powers,
                      exp_nilpotent, rank)
-from .poly import PolyQ
+from .poly import PolyQ, _taylor_coefficients
 
 __all__ = [
     "GroupKind",
@@ -175,27 +175,22 @@ def osculating_flag(kind: GroupKind, t) -> Flag:
 
     Column i holds the (i-1)-st derivative of the curve; the basis matrix is
     invertible for every t because the curve entries span all polynomials of
-    degree below m.  With t = u/v and curve entry j equal to
-    (sum_k n_k t^k) / D_j for integers n_k, its i-th derivative (0-indexed)
-    at t is
-
-        sum_k n_k * k!/(k-i)! * u^(k-i) * v^(m-1-k+i) / (D_j * v^(m-1)),
-
-    summed over Z with zero coefficients skipped.
+    degree below m.  With t = u/v and curve entry j equal to p_j / D_j for
+    an integer polynomial p_j of degree d_j, its i-th derivative
+    (0-indexed) at t is i! * h_i / (D_j * v^(d_j - i)), where h_i is the
+    i-th integer Taylor coefficient of p_j from
+    :func:`poly._taylor_coefficients`, and 0 for i > d_j.
     """
     t = Fraction(t)
-    u, v = t.numerator, t.denominator
+    v = t.denominator
     m = kind.ambient_dim
-    up = [u ** e for e in range(m)]
-    vp = [v ** e for e in range(m)]
     polys = curve_polynomials(kind)
     rows = []
     for ns, scale in zip(*_integer_rows([p.coeffs for p in polys])):
-        terms = [(k, n) for k, n in enumerate(ns) if n]
-        den = scale * vp[m - 1]
-        rows.append([Fraction(sum(n * perm(k, i) * up[k - i] * vp[m - 1 - k + i]
-                                  for k, n in terms if k >= i), den)
-                     for i in range(m)])
+        d = len(ns) - 1
+        rows.append([Fraction(factorial(i) * h, scale * v ** (d - i))
+                     for i, h in enumerate(_taylor_coefficients(ns, t))]
+                    + [Fraction(0)] * (m - 1 - d))
     return Flag(m, Matrix(rows, shape=(m, m)))
 
 

@@ -403,9 +403,9 @@ def perm_codim(cond: PermCondition) -> int:
 def flag_manifold_dim(dims: Sequence[int], m: int) -> int:
     """Dimension of the manifold of flags with the given subspace dims in C^m.
 
-    Computed as the sum over pairs of consecutive dimension gaps of their
-    products; for a single step k this is k*(m-k), and for the complete flag
-    it is m*(m-1)/2.
+    The sum over pairs of consecutive dimension gaps of their products,
+    computed as (m^2 - sum of squared gaps) / 2 since the gaps sum to m; for
+    a single step k this is k*(m-k), and for the complete flag m*(m-1)/2.
     """
     dims = list(dims)
     if not dims or any(d <= 0 or d >= m for d in dims):
@@ -413,8 +413,7 @@ def flag_manifold_dim(dims: Sequence[int], m: int) -> int:
     if sorted(set(dims)) != dims:
         raise ValueError("subspace dimensions must increase strictly")
     gaps = [dims[0]] + [b - a for a, b in zip(dims, dims[1:])] + [m - dims[-1]]
-    return sum(gaps[i] * gaps[j]
-               for i in range(len(gaps)) for j in range(i + 1, len(gaps)))
+    return (m * m - sum(g * g for g in gaps)) // 2
 
 
 def condition_codim(cond) -> int:

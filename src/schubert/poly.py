@@ -3,11 +3,43 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .linalg import QuadExt, Scalar, _coerce
 
 __all__ = ["PolyQ"]
+
+
+def _poly_mul(p: Sequence, q: Sequence) -> list:
+    """Product of coefficient lists (lowest degree first) over any ring."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _taylor_coefficients(cs: Sequence, t0: Fraction) -> Iterator:
+    """Yield h_0, ..., h_d, the coefficients of v^d * p((y + u)/v) in y, for
+    p = sum cs[i] t^i of degree d = len(cs) - 1 and t0 = u/v; so
+    h_j = v^(d-j) * p^(j)(t0) / j!.
+
+    Each h_j is the remainder of one synthetic division by the monic x - u,
+    starting from v^d * p(x/v), so a caller that stops early pays only for
+    what it reads.  The ring operations keep Z (or Q(sqrt(d))).
+    """
+    u, v = t0.numerator, t0.denominator
+    g = [c * v ** i for i, c in enumerate(reversed(cs))]  # highest degree first
+    while g:
+        carry, q = 0, []
+        for c in g:
+            carry = carry * u + c
+            q.append(carry)
+        yield q.pop()
+        g = q
 
 
 class PolyQ:
@@ -51,33 +83,11 @@ class PolyQ:
             out[i] = out[i] + c
         return PolyQ(out)
 
-    def __neg__(self):
-        return PolyQ([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyQ):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, PolyQ):
-            if self.is_zero or other.is_zero:
-                return PolyQ()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return PolyQ(out)
+            return PolyQ(_poly_mul(self.coeffs, other.coeffs))
         if isinstance(other, (int, Fraction, QuadExt)):
             return PolyQ([c * other for c in self.coeffs])
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QuadExt)):
-            return PolyQ([other * c for c in self.coeffs])
         return NotImplemented
 
     def derivative(self) -> "PolyQ":

@@ -17,10 +17,11 @@ condition of P at t0.
 
 Everything runs over Z.  A plane scales its basis to integer coefficient
 rows once, when it is built; the Wronskian, the vanishing orders of the
-plane and the root orders of a polynomial all read integer rows, and the
-root order at t0 = u/v comes from synthetic division of v^d * f(x/v) by
-(x - u).  A plane over Q(sqrt(d)) keeps its own coefficients and runs the
-same ring operations on them.
+plane and the root orders of a polynomial all read integer rows.  Both
+orders come from one expansion, :func:`poly._taylor_coefficients`: the
+Taylor coefficients at t0 = u/v, scaled by powers of v to stay integers.
+A plane over Q(sqrt(d)) keeps its own coefficients and runs the same ring
+operations on them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import DegenerateConfiguration, ZeroPolynomial
 from .grassmann import GrPoint, SchubertCondition, codim
 from .linalg import (Matrix, _echelon, _integer_rows, simplify_scalar,
                      solve_quadratic)
-from .poly import PolyQ
+from .poly import PolyQ, _poly_mul, _taylor_coefficients
 
 __all__ = [
     "PolyPlane",
@@ -81,17 +82,6 @@ class PolyPlane:
         object.__setattr__(self, "_scales", scales)
 
 
-def _poly_mul(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
 def _poly_det(grid: list[list[list]]) -> list:
     """Determinant of a square matrix of polynomials, each a coefficient list
     (lowest degree first) of ints or exact scalars, by first-row expansion."""
@@ -129,59 +119,30 @@ def wronskian(plane: PolyPlane) -> PolyQ:
 def vanishing_order(f: PolyQ, t0) -> int:
     """Multiplicity of t0 as a root of f; 0 when f(t0) != 0.
 
-    With f scaled to integer coefficients c_i (or kept over Q(sqrt(d))) and
-    t0 = u/v, t0 is a root of f of the same multiplicity as u is of
-    g(x) = v^d * f(x/v), whose x^i coefficient is c_i * v^(d-i).  Synthetic
-    division of g by the monic x - u stays in the coefficient ring; the
-    count stops at the first nonzero remainder.
+    The index of the first nonzero Taylor coefficient of f at t0, read from
+    :func:`_taylor_coefficients` on f scaled to integer coefficients (or
+    kept over Q(sqrt(d))); the expansion stops there.
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial vanishes to all orders")
-    t0 = Fraction(t0)
-    u, v = t0.numerator, t0.denominator
     (cs,), _ = _integer_rows([f.coeffs])
-    g = [c * v ** i for i, c in enumerate(reversed(cs))]  # highest degree first
-    order = 0
-    while True:
-        carry, q = 0, []
-        for c in g:
-            carry = carry * u + c
-            q.append(carry)
-        if q.pop():
-            return order
-        order += 1
-        g = q
-
-
-def _taylor_shift(cs: list, u) -> list:
-    """Coefficients of p(x + u) from those of p (lowest degree first)."""
-    cs = list(cs)
-    for i in range(len(cs) - 1):
-        for j in range(len(cs) - 2, i - 1, -1):
-            cs[j] += u * cs[j + 1]
-    return cs
+    return next(j for j, h in enumerate(_taylor_coefficients(cs, Fraction(t0)))
+                if h)
 
 
 def plane_vanishing_orders(plane: PolyPlane, t0) -> tuple[int, ...]:
     """The k distinct vanishing orders at t0 achieved by nonzero elements.
 
-    They are the pivot columns of the k x m jet matrix, whose row c holds the
-    Taylor coefficients of basis polynomial c at t0; nonzero row and column
-    scales leave them unchanged.  With t0 = u/v and each p a scaled
-    coefficient row of the plane, v^(m-1)*p(x/v) is shifted by u and its x^j
-    coefficient multiplied by v^j: integer rows for a rational plane, whose
-    pivots come from fraction-free elimination, and rows over Q(sqrt(d))
-    otherwise.
+    They are the pivot columns of the k x m jet matrix, whose row c holds
+    the :func:`_taylor_coefficients` at t0 of scaled basis row c; nonzero
+    row and column scales leave them unchanged, and rows padded to one
+    degree m - 1 share their column scales.  Rows are integers for a
+    rational plane, whose pivots come from fraction-free elimination, and
+    over Q(sqrt(d)) otherwise.
     """
     t0 = Fraction(t0)
-    m = plane.m
-    u, v = t0.numerator, t0.denominator
-    vp = [v ** j for j in range(m)]
-    rows = []
-    for cs in plane._rows:
-        shifted = _taylor_shift([c * vp[m - 1 - i] for i, c in enumerate(cs)], u)
-        rows.append([c * vp[j] for j, c in enumerate(shifted)])
-    return tuple(_echelon(rows, m)[0])
+    rows = [list(_taylor_coefficients(row, t0)) for row in plane._rows]
+    return tuple(_echelon(rows, plane.m)[0])
 
 
 def ramification_condition(plane: PolyPlane, t0) -> SchubertCondition:

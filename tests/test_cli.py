@@ -303,14 +303,44 @@ def test_dim_report_huge_m_exits_2(capsys, tmp_path):
       "conditions": [{"indices": [2, 4]}, {"indices": [True, 4]}]},
      "conditions[1].indices[0]"),
     ({"ambient": {"m": 4, "dims": [2]}, "conditions": ""}, "conditions"),
+    ([1, 2], "the top level"),
+    ({"ambient": [5, [2]]}, "ambient must"),
+    ({"dims": [2]}, "ambient must"),
+    ({"ambient": {"m": 4}}, "ambient.dims"),
+    ({"ambient": {"m": 4, "dims": [2]},
+      "conditions": [{"indices": [2, 4], "perm": [1, 2, 3, 4]}]},
+     "conditions[0] needs"),
+    ({"ambient": {"m": 4, "dims": [2]}, "conditions": [{}]},
+     "conditions[0] needs"),
 ])
 def test_dim_report_takes_only_json_integers_and_arrays(capsys, tmp_path,
                                                         problem, field):
-    # int() and iteration used to read each of these as a different problem
+    # int() and iteration used to read each of these as a different problem,
+    # a condition with both keys as its "perm" alone, and indexing a list
+    # by key failed with an error that named no field
     path = tmp_path / "loose.json"
     path.write_text(json.dumps(problem))
     code, data = run_json(capsys, "dim-report", str(path))
     assert code == 2 and field in data["error"], data
+
+
+def test_dim_report_deep_nesting_exits_2(capsys, tmp_path):
+    # exit 1 is kept for a falsified claim, not for a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, data = run_json(capsys, "dim-report", str(path))
+    assert code == 2 and str(path) in data["error"], data
+
+
+def test_dim_report_long_complete_flag(capsys, tmp_path):
+    # the pairwise sum over dimension gaps took seconds at this size
+    m = 20_001
+    path = tmp_path / "complete.json"
+    path.write_text(json.dumps({"ambient": {"m": m, "dims": list(range(1, m))}}))
+    start = time.perf_counter()
+    code, data = run_json(capsys, "dim-report", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and data["dim"] == m * (m - 1) // 2 == 200_010_000
 
 
 def test_pad_command(capsys):

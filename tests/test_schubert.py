@@ -483,6 +483,13 @@ def test_flag_manifold_dims():
         for k in range(1, m):
             assert flag_manifold_dim((k,), m) == k * (m - k)
         assert flag_manifold_dim(tuple(range(1, m)), m) == m * (m - 1) // 2
+    rng = random.Random(5)
+    for _ in range(200):
+        m = rng.randint(2, 30)
+        dims = sorted(rng.sample(range(1, m), rng.randint(1, m - 1)))
+        gaps = [b - a for a, b in zip([0] + dims, dims + [m])]
+        assert flag_manifold_dim(dims, m) == sum(
+            g * h for i, g in enumerate(gaps) for h in gaps[i + 1:])
 
 
 def test_expected_dim_report_flag_example():

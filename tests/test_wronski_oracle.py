@@ -1,6 +1,7 @@
 """The integer Wronskian and vanishing-order paths against independent oracles.
 
 `wronskian` is compared with sympy's Wronskian of the same polynomials,
+`poly._taylor_coefficients` with sympy's derivatives at t0,
 `plane_vanishing_orders` with the rref pivots of the derivative-jet matrix
 evaluated at t0, and `vanishing_order` with repeated Fraction division by
 (t - t0), on seeded planes (k <= 5, m <= 8), on planes and polynomials built
@@ -16,7 +17,7 @@ import pytest
 
 from schubert.errors import ZeroPolynomial
 from schubert.linalg import Matrix, QuadExt, rref
-from schubert.poly import PolyQ
+from schubert.poly import PolyQ, _taylor_coefficients
 from schubert.wronski import (PolyPlane, plane_vanishing_orders, random_plane,
                               vanishing_order, wronski_solver_gr24, wronskian)
 
@@ -73,21 +74,22 @@ def _sqrt13_plane():
     return plane
 
 
+def _sympy_scalar(sympy, c):
+    # an int, a Fraction or a QuadExt
+    if isinstance(c, QuadExt):
+        return (sympy.Rational(c.a.numerator, c.a.denominator)
+                + sympy.Rational(c.b.numerator, c.b.denominator)
+                * sympy.sqrt(c.d))
+    return sympy.Rational(c.numerator, c.denominator)
+
+
 def test_wronskian_matches_sympy():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
 
     def expr(p):
-        terms = []
-        for j, c in enumerate(p.coeffs):
-            if isinstance(c, QuadExt):
-                c = (sympy.Rational(c.a.numerator, c.a.denominator)
-                     + sympy.Rational(c.b.numerator, c.b.denominator)
-                     * sympy.sqrt(c.d))
-            else:
-                c = sympy.Rational(c.numerator, c.denominator)
-            terms.append(c * t ** j)
-        return sympy.Add(*terms)
+        return sympy.Add(*(_sympy_scalar(sympy, c) * t ** j
+                           for j, c in enumerate(p.coeffs)))
 
     planes = (_seeded_planes() + [p for p, _ in _power_planes()]
               + [_sqrt13_plane()])
@@ -97,6 +99,35 @@ def test_wronskian_matches_sympy():
         ref = sympy.wronskian([expr(p) for p in plane.basis], t,
                               method="domain-ge")
         assert sympy.expand(expr(wronskian(plane)) - ref) == 0, plane
+
+
+def test_taylor_coefficients_match_sympy():
+    # h_j = v^(d-j) * p^(j)(t0) / j! at t0 = u/v, for the scaled rows of
+    # planes (zero-padded to degree m - 1, one over Q(sqrt(13))) and for
+    # extra zero padding on top
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(55)
+    rows = [row for plane in (_seeded_planes()
+                              + [p for p, _ in _power_planes()]
+                              + [_sqrt13_plane()])
+            for row in plane._rows]
+    rows += [row + [0] * rng.randint(1, 3) for row in rows[::7]] + [[0], [5]]
+    for row in rows:
+        t0 = F(-rng.randint(1, 9), rng.randint(2, 9))
+        while t0.denominator == 1:
+            t0 = F(-rng.randint(1, 9), rng.randint(2, 9))
+        d = len(row) - 1
+        p = sympy.Add(*(_sympy_scalar(sympy, c) * t ** i
+                        for i, c in enumerate(row)))
+        hs = list(_taylor_coefficients(row, t0))
+        assert len(hs) == d + 1
+        if all(isinstance(c, int) for c in row):
+            assert all(isinstance(h, int) for h in hs), row
+        for j, h in enumerate(hs):
+            ref = (sympy.diff(p, t, j).subs(t, _sympy_scalar(sympy, t0))
+                   / sympy.factorial(j) * t0.denominator ** (d - j))
+            assert sympy.expand(_sympy_scalar(sympy, h) - ref) == 0, (row, t0)
 
 
 def test_vanishing_orders_match_jet_pivots():
