@@ -46,9 +46,12 @@ MAX_EH_SAMPLES = 1000
 
 def _kind_from_args(args) -> GroupKind:
     tag = _KIND_NAMES[args.kind]
-    option, size = ("--m", args.m) if tag == "SL" else ("--n", args.n)
+    option, other = ("--m", "--n") if tag == "SL" else ("--n", "--m")
+    size, stray = (args.m, args.n) if tag == "SL" else (args.n, args.m)
     if size is None:
         raise ValueError(f"--kind {args.kind} requires {option}")
+    if stray is not None:
+        raise ValueError(f"{other} is not used with --kind {args.kind}")
     kind = GroupKind(tag, size)
     if kind.ambient_dim > MAX_AMBIENT_DIM:
         raise ValueError(f"ambient dimension {kind.ambient_dim} exceeds "

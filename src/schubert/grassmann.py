@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 from .errors import (DegenerateConfiguration, DimensionMismatch, InfinitelyMany,
                      NegativeExpectedDimension, NotInCellInterior, NotMember)
 from .flags import Flag
-from .linalg import (Matrix, _echelon, _integer_rows, det, rank, rref,
+from .linalg import (Matrix, _echelon, _integer_rows, _rref_rows, det, rank,
                      simplify_matrix, solve_quadratic)
 
 __all__ = [
@@ -119,29 +119,30 @@ def _check_compatible(V: GrPoint, cond: SchubertCondition, F: Flag) -> None:
 def _position(V: GrPoint, F: Flag):
     """Jump rows and adapted basis of V relative to F, from echelon forms.
 
-    Row-reduces [F | V | W], W the standard columns completing V (rows of V
-    off the pivots of an echelon form of V^T), to C = F^-1 V and
-    X = F^-1 W.  The rref of [C^T with its columns reversed | I_k] has pivot
-    rows c_a followed by alpha_a: c_a, read bottom-up, has its last nonzero
-    entry c_a[p_a] = 1 and is zero at the other jump rows, and
-    V alpha_a = F c_a.  Returns the jump rows p_1 < ... < p_k, the columns
-    c_a each followed by alpha_a, and the rows of X.
+    ``_rref_rows`` reduces the row list [F | V | W], W the standard columns
+    completing V (rows of V off the pivots of an echelon form of V^T), to
+    [I | C | X] with C = F^-1 V and X = F^-1 W.  The rows of the rref of
+    [C^T with its columns reversed | I_k] are c_a followed by alpha_a: c_a,
+    read bottom-up, has its last nonzero entry c_a[p_a] = 1 and is zero at
+    the other jump rows, and V alpha_a = F c_a.  Returns the jump rows
+    p_1 < ... < p_k, the columns c_a each followed by alpha_a, and X's rows.
     """
     k, m = V.k, V.ambient_dim
     vt, _ = _integer_rows([V.basis.column(a) for a in range(k)])
     pivots, _ = _echelon(vt, m)
-    W = Matrix.identity(m).take_columns(r for r in range(m) if r not in pivots)
-    R, _ = rref(F.basis.hstack(V.basis).hstack(W))
+    w = [c for c in range(m) if c not in pivots]
+    R = [[*F.basis.row(r), *V.basis.row(r), *(Fraction(r == c) for c in w)]
+         for r in range(m)]
+    _rref_rows(R, 2 * m)
     # row a: column a of C, bottom row first, then e_a to track alpha_a
-    T, lows = rref(Matrix([[R[r, m + a] for r in reversed(range(m))]
-                           + [Fraction(a == b) for b in range(k)]
-                           for a in range(k)], shape=(k, m + k)))
+    T = [[R[r][m + a] for r in reversed(range(m))]
+         + [Fraction(a == b) for b in range(k)] for a in range(k)]
+    lows = _rref_rows(T, m + k)
     # pivot column j is row m - 1 - j of C (jump row m - j), so the pivot
     # rows come in decreasing jump order; each is read back top-down
-    rows = [T.row(a) for a in reversed(range(k))]
     return (tuple(m - j for j in reversed(lows)),
-            [list(row[m - 1::-1] + row[m:]) for row in rows],
-            [R.row(r)[m + k:] for r in range(m)])
+            [row[m - 1::-1] + row[m:] for row in reversed(T)],
+            [row[m + k:] for row in R])
 
 
 def _satisfies(jumps: tuple[int, ...], cond: SchubertCondition) -> bool:
@@ -332,9 +333,9 @@ def pad_to_zero_dimensional(
     """Append codimension-one conditions at fresh points until expected dim 0.
 
     ``conditions`` pairs each condition with the rational parameter of the
-    flag it is imposed at.  Raises NegativeExpectedDimension when the given
-    conditions already exceed the ambient dimension, and ValueError when the
-    fresh points collide with existing ones or run out.
+    flag it is imposed at.  Raises ValueError unless 1 <= k < m, then
+    NegativeExpectedDimension when the conditions exceed dim Gr(k, m), and
+    ValueError when the fresh points collide with existing ones or run out.
     """
     conditions = [(c, Fraction(t)) for c, t in conditions]
     if conditions:
@@ -342,6 +343,7 @@ def pad_to_zero_dimensional(
         m = conditions[0][0].m if m is None else m
     if k is None or m is None:
         raise ValueError("k and m are required when no conditions are given")
+    pad = iota(k, m)
     for c, _ in conditions:
         if (c.k, c.m) != (k, m):
             raise DimensionMismatch("conditions live on different Grassmannians")
@@ -358,7 +360,6 @@ def pad_to_zero_dimensional(
         raise ValueError(f"fresh points collide with condition points: {sorted(clash)}")
     if len(fresh) < r:
         raise ValueError(f"need {r} fresh points, got {len(fresh)}")
-    pad = iota(k, m)
     return conditions + [(pad, u) for u in fresh[:r]]
 
 

@@ -65,7 +65,7 @@ def scalar_to_json(x):
 
 def scalar_from_json(v):
     if isinstance(v, dict):
-        return QuadExt(parse_rational(v["a"]), parse_rational(v["b"]), int(v["d"]))
+        return QuadExt(parse_rational(v["a"]), parse_rational(v["b"]), v["d"])
     if isinstance(v, (str, int)):
         return parse_rational(v)
     raise ValueError(f"not an exact scalar: {v!r}")

@@ -7,7 +7,9 @@ fraction-free (Bareiss) on integer rows and exact field elimination
 otherwise; ``rref``, ``kernel`` and ``inverse`` add one backward pass on
 the matrix's own scalars.  Whether exact input is scaled to integer rows
 or passed through as irrational is decided in one place,
-:func:`_integer_rows`, for the whole input at once.
+:func:`_integer_rows`, for the whole input at once.  The private routines
+reduce row lists in place; a :class:`Matrix` is built only where a public
+function returns one.
 """
 
 from __future__ import annotations
@@ -106,16 +108,21 @@ class QuadExt:
     one value may be stored with two different ``d``; equality, hashing and
     arithmetic treat such copies as the same number.  Rational values
     normalize to ``b == 0, d == 1`` so that equality and hashing agree with
-    Fraction.  Arithmetic mixes freely with int and Fraction; combining
-    elements of two different extensions raises ValueError.
+    Fraction.  ``a`` and ``b`` are int or Fraction and ``d`` an int, not a
+    bool, or TypeError is raised.  Arithmetic mixes freely with int and
+    Fraction; combining elements of two different extensions raises
+    ValueError.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a=0, b=0, d: int = 1):
-        a = Fraction(a)
-        b = Fraction(b)
-        d = int(d)
+        if not (type(a) is type(b) is Fraction and type(d) is int):
+            if type(d) is not int or not all(isinstance(x, (int, Fraction))
+                                             for x in (a, b)):
+                raise TypeError("QuadExt(a, b, d) needs int or Fraction a, b "
+                                f"and int d, got {a!r}, {b!r}, {d!r}")
+            a, b = Fraction(a), Fraction(b)
         if b:
             s, d0 = square_split(d)
             b *= s
@@ -151,10 +158,6 @@ class QuadExt:
             raise ValueError(
                 f"cannot combine sqrt({self.d}) with sqrt({other.d})")
         return self.d, other.b * s / abs(self.d)
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.b
 
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.a, -self.b, self.d)
@@ -352,11 +355,6 @@ class Matrix:
         return Matrix([[-x for x in row] for row in self._data],
                       shape=(self._rows, self._cols))
 
-    def scale(self, s) -> "Matrix":
-        s = s if isinstance(s, (Fraction, QuadExt)) else Fraction(s)
-        return Matrix([[x * s for x in row] for row in self._data],
-                      shape=(self._rows, self._cols))
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -444,12 +442,11 @@ def _echelon(a: list[list], nc: int) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def _rref_rows(M: Matrix) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form of M, on its own scalars, as a list of rows,
-    plus the pivot columns: :func:`_echelon`, then a backward pass that
-    divides each pivot row by its pivot and clears its column above it."""
-    a = M.to_rows()
-    nc = M.cols
+def _rref_rows(a: list[list], nc: int) -> list[int]:
+    """Reduce the row list ``a`` (nc columns) in place to reduced row echelon
+    form, on its own scalars, and return the pivot columns: :func:`_echelon`,
+    then a backward pass that divides each pivot row by its pivot and clears
+    its column above it."""
     pivots, _ = _echelon(a, nc)
     for r in reversed(range(len(pivots))):
         c = pivots[r]
@@ -462,12 +459,13 @@ def _rref_rows(M: Matrix) -> tuple[list[list], list[int]]:
             if f:
                 for j in range(c, nc):
                     above[j] = above[j] - f * row[j]
-    return a, pivots
+    return pivots
 
 
 def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    a, pivots = _rref_rows(M)
+    a = M.to_rows()
+    pivots = _rref_rows(a, M.cols)
     return Matrix(a, shape=(M.rows, M.cols)), tuple(pivots)
 
 
@@ -497,26 +495,22 @@ def kernel(M: Matrix) -> Matrix:
 
     Satisfies ``M * kernel(M) == 0`` and ``kernel(M).cols == M.cols - rank(M)``.
     """
-    a, pivots = _rref_rows(M)
+    a = M.to_rows()
+    pivots = _rref_rows(a, M.cols)
     free = [c for c in range(M.cols) if c not in pivots]
-    cols = []
-    for f in free:
-        v: list = [Fraction(0)] * M.cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -a[r][f]
-        cols.append(v)
-    if not cols:
-        return Matrix([[] for _ in range(M.cols)], shape=(M.cols, 0))
-    return Matrix.from_columns(cols, rows=M.cols)
+    rows = [[Fraction(c == f) for f in free] for c in range(M.cols)]
+    for r, c in enumerate(pivots):
+        rows[c] = [-a[r][f] for f in free]
+    return Matrix(rows, shape=(M.cols, len(free)))
 
 
 def inverse(M: Matrix) -> Matrix:
     if M.rows != M.cols:
         raise ValueError("inverse of a non-square matrix")
     n = M.rows
-    a, pivots = _rref_rows(M.hstack(Matrix.identity(n)))
-    if list(pivots) != list(range(n)):
+    a = [row + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(M.to_rows())]
+    if _rref_rows(a, 2 * n) != list(range(n)):
         raise ValueError("matrix is singular")
     return Matrix([row[n:] for row in a], shape=(n, n))
 

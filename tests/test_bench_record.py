@@ -70,6 +70,7 @@ def test_environment_must_not_change():
 @pytest.mark.parametrize("argv", [
     ["--label", "x", "--seeds", "1,2,1"],
     ["--label", "x", "--workloads", "eh_check,no_such_workload"],
+    ["--label", "x", "--base-checkout", ".", "--base-label", "x"],
 ])
 def test_recording_rejects_bad_selection_before_running(argv):
     with pytest.raises(SystemExit) as e:

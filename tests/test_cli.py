@@ -48,6 +48,21 @@ def test_missing_size_parameter_exits_2(capsys):
     assert code == 2 and "error" in data
 
 
+@pytest.mark.parametrize("command", [
+    ["curve", "--t", "1"], ["osculating-flag", "--t", "1"],
+    ["verify-isotropy", "--t", "1"], ["nilpotent"],
+    ["peterson-check", "--t", "1"]])
+def test_kind_commands_reject_the_other_size_option(capsys, command):
+    code, data = run_json(capsys, *command, "--kind", "sl", "--m", "3",
+                          "--n", "5")
+    assert code == 2 and data["error"] == "--n is not used with --kind sl"
+    for kind in ("sp", "so-odd", "so-even"):
+        code, data = run_json(capsys, *command, "--kind", kind, "--n", "2",
+                              "--m", "9")
+        assert code == 2
+        assert data["error"] == f"--m is not used with --kind {kind}"
+
+
 def test_bad_rational_exits_2(capsys):
     code, data = run_json(capsys, "curve", "--kind", "sl", "--m", "3",
                           "--t", "one")
@@ -357,6 +372,14 @@ def test_pad_negative_expected_exits_4(capsys):
                           "--condition", "1,2@0", "--condition", "2,4@1",
                           "--fresh", "5")
     assert code == 4
+
+
+@pytest.mark.parametrize("k, m", [(-1, 5), (0, 5), (3, 2), (4, 4)])
+def test_pad_with_k_outside_1_to_m_minus_1_exits_2(capsys, k, m):
+    code, data = run_json(capsys, "pad", "--k", str(k), "--m", str(m))
+    assert code == 2
+    assert data == {"error": f"need 1 <= k < m, got k={k}, m={m}",
+                    "error_type": "ValueError"}
 
 
 def test_pad_colliding_fresh_exits_2(capsys):

@@ -43,7 +43,8 @@ def ref_exp_nilpotent(N, t):
         P = P * N
         if P.is_zero():
             return out
-        out = out + P.scale(t ** j / factorial(j))
+        s = t ** j / factorial(j)
+        out = out + Matrix([[x * s for x in row] for row in P.to_rows()])
     raise NotNilpotent(f"matrix power N^{n} is nonzero")
 
 

@@ -54,6 +54,12 @@ def test_scalar_round_trip():
     assert jsonio.scalar_to_json(QuadExt(F(3), F(0), 5)) == "3"
 
 
+@pytest.mark.parametrize("d", [2.5, True, "13"])
+def test_scalar_from_json_needs_an_integer_d(d):
+    with pytest.raises(TypeError):
+        jsonio.scalar_from_json({"a": "1", "b": "1", "d": d})
+
+
 def test_quadext_wire_format():
     enc = jsonio.scalar_to_json(QuadExt(F(1, 2), F(2), 13))
     assert enc == {"a": "1/2", "b": "2", "d": 13}

@@ -440,6 +440,13 @@ def test_pad_fresh_point_collisions():
         pad_to_zero_dimensional([], [F(1)])  # k, m unknown
 
 
+@pytest.mark.parametrize("k, m", [(-1, 5), (0, 5), (3, 2), (4, 4)])
+def test_pad_checks_k_and_m_before_counting_dimensions(k, m):
+    # k = -1 or k > m would read as a negative expected dimension
+    with pytest.raises(ValueError, match="need 1 <= k < m"):
+        pad_to_zero_dimensional([], [F(1)], k=k, m=m)
+
+
 def test_pad_without_conditions_needs_explicit_sizes():
     out = pad_to_zero_dimensional([], [F(0), F(1), F(2), F(3), F(9)], k=2, m=4)
     assert len(out) == 4

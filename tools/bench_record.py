@@ -149,6 +149,9 @@ def main(argv=None) -> int:
     if not args.label or (args.base_checkout is None) != (args.base_label is None):
         parser.error("recording needs --label, and --base-label exactly "
                      "when --base-checkout is given")
+    if args.base_label == args.label:
+        parser.error(f"--base-label must differ from --label: both sides "
+                     f"would write BENCH_{args.label}.json")
     seeds = [int(s) for s in args.seeds.split(",")]
     if len(set(seeds)) != len(seeds):
         parser.error(f"--seeds repeats a seed: {args.seeds}")
