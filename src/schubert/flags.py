@@ -19,12 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
 from .errors import DimensionMismatch, UnsupportedGroup
 from .linalg import (Matrix, _echelon, _integer_rows, _nilpotent_powers,
-                     exp_nilpotent, rank)
+                     _over_common_denominator, _rational, exp_nilpotent, rank)
 from .poly import PolyQ, _taylor_coefficients
 
 __all__ = [
@@ -56,6 +56,8 @@ class GroupKind:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"unknown group tag {self.tag!r}")
+        if type(self.param) is not int:
+            raise TypeError(f"the group parameter must be an int, got {self.param!r}")
         low = 2 if self.tag == "SL" else 1
         if self.param < low:
             raise ValueError(f"{self.tag} needs parameter >= {low}")
@@ -103,6 +105,8 @@ class Flag:
 
     def __post_init__(self):
         m = self.ambient_dim
+        if type(m) is not int:
+            raise TypeError(f"the ambient dimension must be an int, got {m!r}")
         if self.basis.rows != m or self.basis.cols != m:
             raise DimensionMismatch(
                 f"flag basis must be {m}x{m}, got {self.basis.rows}x{self.basis.cols}")
@@ -166,7 +170,7 @@ def curve_polynomials(kind: GroupKind) -> tuple[PolyQ, ...]:
 
 def curve_point(kind: GroupKind, t) -> Matrix:
     """The curve evaluated at rational t, as an m x 1 column."""
-    t = Fraction(t)
+    t = _rational(t)
     return Matrix.from_columns([[p(t) for p in curve_polynomials(kind)]])
 
 
@@ -181,7 +185,7 @@ def osculating_flag(kind: GroupKind, t) -> Flag:
     i-th integer Taylor coefficient of p_j from
     :func:`poly._taylor_coefficients`, and 0 for i > d_j.
     """
-    t = Fraction(t)
+    t = _rational(t)
     v = t.denominator
     m = kind.ambient_dim
     polys = curve_polynomials(kind)
@@ -222,19 +226,17 @@ def is_isotropic_flag(flag: Flag, form: BilinearForm) -> bool:
 
     Equivalently, with P = basis^T * gram * basis, every entry P[a][b] with
     (1-indexed) a + b <= m vanishes.  P is formed from the basis columns
-    and the Gram matrix as :func:`_integer_rows` scales them, the Gram rows
-    to the lcm of their scales; nonzero scalings of single columns and of
-    the whole Gram matrix leave the zero pattern of P unchanged.
+    and the Gram matrix as :func:`_integer_rows` and
+    :func:`_over_common_denominator` scale them; nonzero scalings of single
+    columns and of the whole Gram matrix leave the zero pattern of P
+    unchanged.
     """
     m = flag.ambient_dim
     if form.ambient_dim != m:
         raise DimensionMismatch(
             f"flag in dimension {m}, form in dimension {form.ambient_dim}")
     cols, _ = _integer_rows([flag.basis.column(j) for j in range(m)])
-    rows, scales = _integer_rows(form.gram.to_rows())
-    D = lcm(*scales)
-    gram = [row if s == D else [x * (D // s) for x in row]
-            for row, s in zip(rows, scales)]
+    gram, _ = _over_common_denominator(form.gram.to_rows())
     nonzeros = [[(b, g) for b, g in enumerate(row) if g] for row in gram]
     # column j of gram * basis, for the columns some pairing needs
     gcols = [[sum(g * col[b] for b, g in row) for row in nonzeros]
@@ -297,7 +299,7 @@ def exp_translate_flag(kind: GroupKind, t) -> Flag:
     """
     if kind.tag == "SO_even":
         raise UnsupportedGroup(f"{kind} has no attached flag family")
-    g = exp_nilpotent(principal_nilpotent(kind), Fraction(t))
+    g = exp_nilpotent(principal_nilpotent(kind), t)
     return Flag(kind.ambient_dim, g)
 
 

@@ -30,8 +30,8 @@ from typing import Iterable, Sequence
 from .errors import (DegenerateConfiguration, DimensionMismatch, InfinitelyMany,
                      NegativeExpectedDimension, NotInCellInterior, NotMember)
 from .flags import Flag
-from .linalg import (Matrix, _echelon, _integer_rows, _rref_rows, det, rank,
-                     simplify_matrix, solve_quadratic)
+from .linalg import (Matrix, _echelon, _integer_rows, _rational, _rref_rows,
+                     det, rank, simplify_matrix, solve_quadratic)
 
 __all__ = [
     "SchubertCondition",
@@ -65,6 +65,9 @@ class SchubertCondition:
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(self.indices))
+        if not all(type(x) is int for x in (self.k, self.m, *self.indices)):
+            raise TypeError(f"k, m and the indices must be ints, got k={self.k!r},"
+                            f" m={self.m!r}, indices={self.indices!r}")
         if self.k < 1 or self.k > self.m:
             raise ValueError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
         if len(self.indices) != self.k:
@@ -337,7 +340,7 @@ def pad_to_zero_dimensional(
     NegativeExpectedDimension when the conditions exceed dim Gr(k, m), and
     ValueError when the fresh points collide with existing ones or run out.
     """
-    conditions = [(c, Fraction(t)) for c, t in conditions]
+    conditions = [(c, _rational(t)) for c, t in conditions]
     if conditions:
         k = conditions[0][0].k if k is None else k
         m = conditions[0][0].m if m is None else m
@@ -351,7 +354,7 @@ def pad_to_zero_dimensional(
     if r < 0:
         raise NegativeExpectedDimension(
             f"codimensions exceed dim Gr({k},{m}) by {-r}")
-    fresh = [Fraction(u) for u in fresh_points]
+    fresh = [_rational(u) for u in fresh_points]
     if len(set(fresh)) != len(fresh):
         raise ValueError("fresh points must be pairwise distinct")
     used = {t for _, t in conditions}

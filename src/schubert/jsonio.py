@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .flags import Flag, GroupKind
 from .grassmann import TransversalityCertificate
-from .linalg import Matrix, QuadExt
+from .linalg import Matrix, QuadExt, _rational
 
 __all__ = [
     "rational_to_str",
@@ -38,7 +38,7 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 def rational_to_str(x) -> str:
     # Decimal prints an int of any size; str(int) stops at the interpreter's
     # int-printing limit, which parse_rational keeps relying on
-    x = Fraction(x)
+    x = _rational(x)
     num = str(Decimal(x.numerator))
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 

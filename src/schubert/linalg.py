@@ -9,7 +9,10 @@ the matrix's own scalars.  Whether exact input is scaled to integer rows
 or passed through as irrational is decided in one place,
 :func:`_integer_rows`, for the whole input at once.  The private routines
 reduce row lists in place; a :class:`Matrix` is built only where a public
-function returns one.
+function returns one.  What counts as an exact rational is decided in one
+place too, :func:`_rational`: every Matrix or PolyQ entry, QuadExt part
+and rational parameter of the package goes through it, and a float, str
+or bool raises TypeError.  A QuadExt is normalized once, in ``__init__``.
 """
 
 from __future__ import annotations
@@ -101,6 +104,16 @@ def square_split(n: int) -> tuple[int, int]:
     return s, sign * d
 
 
+def _rational(x) -> Fraction:
+    """The one test of an exact rational: a Fraction comes back as it is and
+    an int (not a bool) as a Fraction; anything else raises TypeError."""
+    if type(x) is int:  # first: isinstance(x, Fraction) is slow for an int
+        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    raise TypeError(f"expected an exact rational (int or Fraction), got {x!r}")
+
+
 class QuadExt:
     """An element ``a + b*sqrt(d)`` of the quadratic field Q(sqrt(d)).
 
@@ -108,113 +121,81 @@ class QuadExt:
     one value may be stored with two different ``d``; equality, hashing and
     arithmetic treat such copies as the same number.  Rational values
     normalize to ``b == 0, d == 1`` so that equality and hashing agree with
-    Fraction.  ``a`` and ``b`` are int or Fraction and ``d`` an int, not a
-    bool, or TypeError is raised.  Arithmetic mixes freely with int and
-    Fraction; combining elements of two different extensions raises
-    ValueError.
+    Fraction.  Normalization happens once, in ``__init__``, which reads
+    ``a`` and ``b`` through :func:`_rational` and needs an int ``d``, not a
+    bool; arithmetic builds its results from normalized parts without it.
+    Any operand but a QuadExt goes through :func:`_rational`; combining
+    elements of two different extensions raises ValueError.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a=0, b=0, d: int = 1):
-        if not (type(a) is type(b) is Fraction and type(d) is int):
-            if type(d) is not int or not all(isinstance(x, (int, Fraction))
-                                             for x in (a, b)):
-                raise TypeError("QuadExt(a, b, d) needs int or Fraction a, b "
-                                f"and int d, got {a!r}, {b!r}, {d!r}")
-            a, b = Fraction(a), Fraction(b)
-        if b:
-            s, d0 = square_split(d)
-            b *= s
-            if d0 == 0:
-                b, d = Fraction(0), 1
-            elif d0 == 1:
-                a, b, d = a + b, Fraction(0), 1
-            else:
-                d = d0
-        else:
-            b, d = Fraction(0), 1
-        self.a = a
-        self.b = b
-        self.d = d
+        if type(d) is not int:
+            raise TypeError(f"QuadExt needs an int d, got {d!r}")
+        a, b = _rational(a), _rational(b)
+        s, d = square_split(d) if b else (0, 0)
+        b *= s
+        if d in (0, 1):  # b*sqrt(d) is rational: fold it into a
+            a, b, d = a + b * d, Fraction(0), 1
+        self.a, self.b, self.d = a, b, d
 
     # -- helpers -----------------------------------------------------------
-    @staticmethod
-    def _mate(other) -> "QuadExt | None":
-        if isinstance(other, QuadExt):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other)
-        return None
-
-    def _join_d(self, other: "QuadExt") -> tuple[int, Fraction]:
-        # The common d, and other's b over it: when d1*d2 == s*s (square_split
-        # left a large square inside d), b*sqrt(d2) == (b*s/|d1|)*sqrt(d1).
+    def _parts(self, other) -> tuple:
+        """other's a and b over the common d.  When d1*d2 == s*s (square_split
+        left a large square inside d), b*sqrt(d2) == (b*s/|d1|)*sqrt(d1)."""
+        if not isinstance(other, QuadExt):
+            return _rational(other), 0, self.d
         if not (self.b and other.b) or self.d == other.d:
-            return (self.d if self.b else other.d), other.b
+            return other.a, other.b, (self.d if self.b else other.d)
         prod = self.d * other.d
         s = isqrt(prod) if prod > 0 else -1
         if s * s != prod:
             raise ValueError(
                 f"cannot combine sqrt({self.d}) with sqrt({other.d})")
-        return self.d, other.b * s / abs(self.d)
+        return other.a, other.b * s / abs(self.d), self.d
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return _of(self.a, -self.b, self.d)
 
     def inverse(self) -> "QuadExt":
         nrm = self.a * self.a - self.d * self.b * self.b
         if not nrm:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return QuadExt(self.a / nrm, -self.b / nrm, self.d)
+        return _of(self.a / nrm, -self.b / nrm, self.d)
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
-        o = self._mate(other)
-        if o is None:
-            return NotImplemented
-        d, ob = self._join_d(o)
-        return QuadExt(self.a + o.a, self.b + ob, d)
+        oa, ob, d = self._parts(other)
+        return _of(self.a + oa, self.b + ob, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _of(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        o = self._mate(other)
-        if o is None:
-            return NotImplemented
-        d, ob = self._join_d(o)
-        return QuadExt(self.a - o.a, self.b - ob, d)
+        oa, ob, d = self._parts(other)
+        return _of(self.a - oa, self.b - ob, d)
 
     def __rsub__(self, other):
-        o = self._mate(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        oa, ob, d = self._parts(other)
+        return _of(oa - self.a, ob - self.b, d)
 
     def __mul__(self, other):
-        o = self._mate(other)
-        if o is None:
-            return NotImplemented
-        d, ob = self._join_d(o)
-        return QuadExt(self.a * o.a + d * self.b * ob,
-                       self.a * ob + self.b * o.a, d)
+        oa, ob, d = self._parts(other)
+        return _of(self.a * oa + d * self.b * ob, self.a * ob + self.b * oa, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._mate(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, QuadExt):
+            return self * other.inverse()
+        r = _rational(other)
+        return _of(self.a / r, self.b / r, self.d)
 
     def __rtruediv__(self, other):
-        o = self._mate(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return _rational(other) * self.inverse()
 
     # -- comparison / hashing ----------------------------------------------
     def _key(self) -> tuple:
@@ -247,15 +228,18 @@ class QuadExt:
         return f"{self.a} {mid}{tail}"
 
 
+def _of(a: Fraction, b: Fraction, d: int) -> QuadExt:
+    """The arithmetic's QuadExt of normalized parts, with d = 1 when b == 0."""
+    x = object.__new__(QuadExt)
+    x.a, x.b, x.d = a, b, (d if b else 1)
+    return x
+
+
 Scalar = Union[Fraction, QuadExt]
 
 
 def _coerce(x) -> Scalar:
-    if isinstance(x, (Fraction, QuadExt)):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
+    return x if type(x) is Fraction or isinstance(x, QuadExt) else _rational(x)
 
 
 def simplify_scalar(x: Scalar) -> Scalar:
@@ -363,9 +347,6 @@ class Matrix:
         bt = other.transpose()._data
         return Matrix([[_dot(row, col) for col in bt] for row in self._data],
                       shape=(self._rows, other._cols))
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self._data for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -486,6 +467,16 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
             for row, s in zip(rows, scales)], scales
 
 
+def _over_common_denominator(rows: Sequence[Sequence]) -> tuple[list[list], int]:
+    """The rows of :func:`_integer_rows`, each brought to the lcm D of their
+    scales, and D: so the rows are D times the input, integral when it is
+    rational; when an entry is irrational, D is 1 and the rows are copies."""
+    rows, scales = _integer_rows(rows)
+    D = lcm(*scales)
+    return [row if s == D else [x * (D // s) for x in row]
+            for row, s in zip(rows, scales)], D
+
+
 def rank(M: Matrix) -> int:
     return len(_echelon(_integer_rows(M._data)[0], M.cols)[0])
 
@@ -535,9 +526,9 @@ def _nilpotent_powers(N: Matrix) -> tuple[int, list[list[list]]]:
     """``(D, [P_1, ..., P_J])`` with ``P_j = (D*N)^j`` as row lists: the
     nonzero powers of D*N, so that N's nilpotency index is J + 1.
 
-    D is the lcm of the row scales of :func:`_integer_rows`, a common
-    denominator making every P_j integral; when an entry is irrational, D
-    is 1 and the P_j hold exact scalars.  Each product
+    D is the common denominator of :func:`_over_common_denominator`,
+    making every P_j integral; when an entry is irrational, D is 1 and the
+    P_j hold exact scalars.  Each product
     runs over the nonzeros of D*N's rows, listed once, so a matrix with a
     bounded number of nonzeros per row costs O(m^2) per power.  Raises
     NotNilpotent for a non-square N or when ``N^rows != 0``.
@@ -545,10 +536,7 @@ def _nilpotent_powers(N: Matrix) -> tuple[int, list[list[list]]]:
     if N.rows != N.cols:
         raise NotNilpotent("only square matrices can be nilpotent")
     n = N.rows
-    rows, scales = _integer_rows(N._data)
-    D = lcm(*scales)
-    A = [row if s == D else [x * (D // s) for x in row]
-         for row, s in zip(rows, scales)]
+    A, D = _over_common_denominator(N._data)
     nonzeros = [[(c, x) for c, x in enumerate(row) if x] for row in A]
     powers: list[list[list]] = []
     P = A
@@ -576,8 +564,8 @@ def exp_nilpotent(N: Matrix, t) -> Matrix:
     ``sum_j u^j (vD)^(J-j) (J!/j!) P_j``, integral for rational N, divided
     once by ``(vD)^J J!``.  Raises NotNilpotent when ``N^rows != 0``.
     """
+    t = _rational(t)
     D, powers = _nilpotent_powers(N)
-    t = Fraction(t)
     n, J = N.rows, len(powers)
     w = t.denominator * D
     den = w ** J * factorial(J)
@@ -599,7 +587,7 @@ def solve_quadratic(a, b, c) -> list[QuadExt]:
     the squarefree part d of the discriminant; rational-square discriminants
     collapse to rational roots.  The linear case returns its single root.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = _rational(a), _rational(b), _rational(c)
     if not a:
         if not b:
             if not c:

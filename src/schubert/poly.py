@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .linalg import QuadExt, Scalar, _coerce
+from .linalg import Scalar, _coerce
 
 __all__ = ["PolyQ"]
 
@@ -86,14 +86,14 @@ class PolyQ:
     def __mul__(self, other):
         if isinstance(other, PolyQ):
             return PolyQ(_poly_mul(self.coeffs, other.coeffs))
-        if isinstance(other, (int, Fraction, QuadExt)):
-            return PolyQ([c * other for c in self.coeffs])
-        return NotImplemented
+        other = _coerce(other)
+        return PolyQ([c * other for c in self.coeffs])
 
     def derivative(self) -> "PolyQ":
         return PolyQ([j * c for j, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, t):
+        t = _coerce(t)
         acc: Scalar = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * t + c

@@ -33,8 +33,8 @@ from math import comb, prod
 
 from .errors import DegenerateConfiguration, ZeroPolynomial
 from .grassmann import GrPoint, SchubertCondition, codim
-from .linalg import (Matrix, _echelon, _integer_rows, simplify_scalar,
-                     solve_quadratic)
+from .linalg import (Matrix, _echelon, _integer_rows, _rational,
+                     simplify_scalar, solve_quadratic)
 from .poly import PolyQ, _poly_mul, _taylor_coefficients
 
 __all__ = [
@@ -123,11 +123,11 @@ def vanishing_order(f: PolyQ, t0) -> int:
     :func:`_taylor_coefficients` on f scaled to integer coefficients (or
     kept over Q(sqrt(d))); the expansion stops there.
     """
+    t0 = _rational(t0)
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial vanishes to all orders")
     (cs,), _ = _integer_rows([f.coeffs])
-    return next(j for j, h in enumerate(_taylor_coefficients(cs, Fraction(t0)))
-                if h)
+    return next(j for j, h in enumerate(_taylor_coefficients(cs, t0)) if h)
 
 
 def plane_vanishing_orders(plane: PolyPlane, t0) -> tuple[int, ...]:
@@ -140,7 +140,7 @@ def plane_vanishing_orders(plane: PolyPlane, t0) -> tuple[int, ...]:
     rational plane, whose pivots come from fraction-free elimination, and
     over Q(sqrt(d)) otherwise.
     """
-    t0 = Fraction(t0)
+    t0 = _rational(t0)
     rows = [list(_taylor_coefficients(row, t0)) for row in plane._rows]
     return tuple(_echelon(rows, plane.m)[0])
 
@@ -199,7 +199,7 @@ def wronski_solver_gr24(roots) -> list[PolyPlane]:
     the Wronskian identity pins down to a single quadratic equation, solved
     exactly.  Returns the generic count of 2 planes, over Q(sqrt(d)).
     """
-    rs = [Fraction(r) for r in roots]
+    rs = [_rational(r) for r in roots]
     if len(rs) != 4:
         raise ValueError("exactly four points are required")
     if len(set(rs)) != 4:

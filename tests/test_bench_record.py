@@ -69,6 +69,9 @@ def test_environment_must_not_change():
 
 @pytest.mark.parametrize("argv", [
     ["--label", "x", "--seeds", "1,2,1"],
+    ["--label", "x", "--seeds", "1,x"],
+    ["--label", "x", "--seeds", ""],
+    ["--label", "x", "--seeds", "1,,2"],
     ["--label", "x", "--workloads", "eh_check,no_such_workload"],
     ["--label", "x", "--base-checkout", ".", "--base-label", "x"],
 ])

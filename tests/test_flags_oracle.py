@@ -39,9 +39,10 @@ def ref_exp_nilpotent(N, t):
     n = N.rows
     out = Matrix.identity(n)
     P = Matrix.identity(n)
+    zero = Matrix([[0] * n] * n)
     for j in range(1, n + 1):
         P = P * N
-        if P.is_zero():
+        if P == zero:
             return out
         s = t ** j / factorial(j)
         out = out + Matrix([[x * s for x in row] for row in P.to_rows()])
@@ -50,9 +51,10 @@ def ref_exp_nilpotent(N, t):
 
 def ref_nilpotency_index(N):
     P = Matrix.identity(N.rows)
+    zero = Matrix([[0] * N.rows] * N.rows)
     for p in range(1, N.rows + 1):
         P = P * N
-        if P.is_zero():
+        if P == zero:
             return p
     raise NotNilpotent(f"matrix power N^{N.rows} is nonzero")
 
@@ -86,7 +88,7 @@ def ref_root_elements(kind):
                 k = -1 if kind.tag == "SO_odd" else -eps[a] * eps[b]
                 rows[pa - 1][pb - 1] = F(k)
             X = Matrix(rows)
-            assert (X.transpose() * G + G * X).is_zero()
+            assert X.transpose() * G + G * X == Matrix([[0] * m] * m)
             (upper if a < b else lower).append(X)
     return upper, lower
 

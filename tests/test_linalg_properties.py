@@ -4,7 +4,8 @@ Small matrices over Q and Q(sqrt(d)) are generated by hypothesis; rank,
 det, rref with its pivots, nullity, M * kernel(M) == 0 and inverse are
 compared with the same operations over sympy's QQ or QQ<sqrt(d)>.  QuadExt
 is checked against the field axioms, against Fraction for rational values
-(== and hash), and across the square splits of one d.
+(== and hash), across the square splits of one d, and for arithmetic
+results that come out normalized without a second square_split lookup.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from sympy.polys.domains import QQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from schubert.linalg import (Matrix, QuadExt, det, inverse, kernel,  # noqa: E402
-                             rank, rref)
+                             rank, rref, square_split)
 
 F = Fraction
 D_VALUES = (2, 3, 5, 13, -1, -3)
@@ -97,7 +98,7 @@ def test_rank_rref_kernel_match_sympy(case):
     assert K.rows == M.cols and K.cols == M.cols - r
     assert K.cols == ref.nullspace().shape[0]
     if K.cols:
-        assert (M * K).is_zero()
+        assert M * K == Matrix([[0] * K.cols] * M.rows)
         assert rank(K) == K.cols
 
 
@@ -142,6 +143,34 @@ def test_quadext_field_axioms(elems):
     else:
         with pytest.raises(ZeroDivisionError):
             x.inverse()
+
+
+def _lookups():
+    info = square_split.cache_info()
+    return info.hits + info.misses
+
+
+@SETTINGS
+@given(field_elements(), _rationals)
+def test_quadext_arithmetic_builds_normalized_results(elems, q):
+    # the parts of an arithmetic result are those __init__ would make of
+    # them, and building it looks no d up in square_split
+    x, y, _ = elems
+    ops = [lambda: x + y, lambda: x - y, lambda: x * y, lambda: -x,
+           lambda: x.conjugate(), lambda: x + q, lambda: q + x,
+           lambda: x - q, lambda: q - x, lambda: x * q, lambda: q * x]
+    if y:
+        ops += [lambda: x / y, lambda: y.inverse(), lambda: q / y]
+    if q:
+        ops.append(lambda: x / q)
+    for op in ops:
+        before = _lookups()
+        r = op()
+        assert _lookups() == before
+        assert type(r) is QuadExt and type(r.a) is type(r.b) is F
+        assert (r.d == 1) == (r.b == 0)
+        n = QuadExt(r.a, r.b, r.d)
+        assert (n.a, n.b, n.d) == (r.a, r.b, r.d)
 
 
 @SETTINGS

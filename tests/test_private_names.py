@@ -86,6 +86,9 @@ def _public_methods(tree):
 
 
 def test_every_public_method_has_a_use_or_a_reason():
+    """A method is used when some attribute read anywhere in the package
+    has its name, whatever the object it is read from; so a method name
+    shared by two classes counts as used for both."""
     trees = _trees()
     methods = {(module, cls, node.name): node for module, tree in trees.items()
                for cls, node in _public_methods(tree)}

@@ -1,0 +1,96 @@
+"""One rule for what an exact rational is: ``linalg._rational``.
+
+Every public entry point that reads a rational parameter, every ``Matrix``
+and ``PolyQ`` entry and both parts of a ``QuadExt`` take an int or a
+Fraction and raise TypeError for a float, a str or a bool; sizes of
+conditions, groups and flags are ints that are not bools.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from schubert.flags import (Flag, GroupKind, curve_point, exp_translate_flag,
+                            osculating_flag, principal_nilpotent)
+from schubert.grassmann import SchubertCondition, codim, pad_to_zero_dimensional
+from schubert.jsonio import rational_to_str
+from schubert.linalg import Matrix, QuadExt, exp_nilpotent, solve_quadratic
+from schubert.poly import PolyQ
+from schubert.wronski import (PolyPlane, check_eh_identity, plane_vanishing_orders,
+                              ramification_condition, vanishing_order,
+                              wronski_solver_gr24)
+
+SP4 = GroupKind.sp(2)
+PLANE = PolyPlane(4, 2, (PolyQ([0, 0, 1]), PolyQ([-8, 0, 0, 1])))
+COND = SchubertCondition(2, 4, (2, 4))
+
+ENTRY_POINTS = {
+    "curve_point": lambda x: curve_point(SP4, x),
+    "osculating_flag": lambda x: osculating_flag(SP4, x),
+    "exp_nilpotent": lambda x: exp_nilpotent(principal_nilpotent(SP4), x),
+    "exp_translate_flag": lambda x: exp_translate_flag(SP4, x),
+    "solve_quadratic": lambda x: solve_quadratic(1, x, -1),
+    "pad_to_zero_dimensional condition point":
+        lambda x: pad_to_zero_dimensional([(COND, x)], [5, 6, 7]),
+    "pad_to_zero_dimensional fresh point":
+        lambda x: pad_to_zero_dimensional([], [x, 5, 6, 7], k=2, m=4),
+    "vanishing_order": lambda x: vanishing_order(PolyQ([-2, 1]), x),
+    "plane_vanishing_orders": lambda x: plane_vanishing_orders(PLANE, x),
+    "ramification_condition": lambda x: ramification_condition(PLANE, x),
+    "check_eh_identity": lambda x: check_eh_identity(PLANE, x),
+    "wronski_solver_gr24": lambda x: wronski_solver_gr24([x, 0, 1, 3]),
+    "rational_to_str": rational_to_str,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [0.5, "1/2", True])
+def test_entry_points_refuse_inexact_rationals(name, bad):
+    with pytest.raises(TypeError):
+        ENTRY_POINTS[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_points_read_int_and_fraction_alike(name):
+    assert ENTRY_POINTS[name](2) == ENTRY_POINTS[name](Fraction(2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Matrix([[True]]),
+    lambda: Matrix([[1, 0.5]]),
+    lambda: PolyQ([True]),
+    lambda: PolyQ([1, "2"]),
+    lambda: QuadExt(True),
+    lambda: QuadExt(1, True, 2),
+    lambda: QuadExt(0.5),
+    lambda: QuadExt(1, 1, True),
+    lambda: PolyQ([1, 2]) * True,
+    lambda: PolyQ([1, 2])(0.5),
+    lambda: QuadExt(1, 1, 2) + 0.5,
+], ids=["Matrix bool", "Matrix float", "PolyQ bool", "PolyQ str",
+        "QuadExt bool a", "QuadExt bool b", "QuadExt float a", "QuadExt bool d",
+        "PolyQ times bool", "PolyQ at float", "QuadExt plus float"])
+def test_scalar_containers_refuse_inexact_entries(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_exact_entries_pass_through_unchanged():
+    x, q = QuadExt(1, 2, 3), Fraction(1, 3)
+    M = Matrix([[x, q, 4]])
+    assert M[0, 0] is x and M[0, 1] is q and M[0, 2] == Fraction(4)
+    assert type(M[0, 2]) is Fraction
+
+
+@pytest.mark.parametrize("build", [
+    lambda: codim(SchubertCondition(2, 4.5, (1, 3))),
+    lambda: SchubertCondition(2, 4, (1.0, 3)),
+    lambda: SchubertCondition(True, 4, (3,)),
+    lambda: GroupKind("Sp", 2.0).ambient_dim,
+    lambda: GroupKind("SL", True),
+    lambda: Flag(4.0, Matrix.identity(4)),
+], ids=["condition m", "condition index", "condition k", "group param float",
+        "group param bool", "flag ambient_dim"])
+def test_sizes_must_be_ints(build):
+    with pytest.raises(TypeError):
+        build()

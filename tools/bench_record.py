@@ -152,7 +152,10 @@ def main(argv=None) -> int:
     if args.base_label == args.label:
         parser.error(f"--base-label must differ from --label: both sides "
                      f"would write BENCH_{args.label}.json")
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        parser.error(f"--seeds must be comma-separated integers: {args.seeds!r}")
     if len(set(seeds)) != len(seeds):
         parser.error(f"--seeds repeats a seed: {args.seeds}")
     names = [w["name"] for w in spec["workloads"]]
