@@ -55,6 +55,12 @@ __all__ = [
 ]
 
 
+def _require_ints(what: str, *values) -> None:
+    """Raise TypeError unless every value is an int (not a bool): a size."""
+    if not all(type(x) is int for x in values):
+        raise TypeError(f"{what}: expected ints, not bools, got {values!r}")
+
+
 @dataclass(frozen=True)
 class SchubertCondition:
     """Indices 1 <= i_1 < ... < i_k <= m defining a condition on Gr(k, m)."""
@@ -65,9 +71,7 @@ class SchubertCondition:
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(self.indices))
-        if not all(type(x) is int for x in (self.k, self.m, *self.indices)):
-            raise TypeError(f"k, m and the indices must be ints, got k={self.k!r},"
-                            f" m={self.m!r}, indices={self.indices!r}")
+        _require_ints("k, m and the indices", self.k, self.m, *self.indices)
         if self.k < 1 or self.k > self.m:
             raise ValueError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
         if len(self.indices) != self.k:
@@ -381,6 +385,8 @@ class PermCondition:
     def __post_init__(self):
         object.__setattr__(self, "perm", tuple(self.perm))
         object.__setattr__(self, "descent_bound", tuple(self.descent_bound))
+        _require_ints("m, the permutation and the descent bound",
+                      self.m, *self.perm, *self.descent_bound)
         # the length check comes first: m may be huge, and range(1, m + 1)
         # is only built once it equals len(perm)
         if (len(self.perm) != self.m
@@ -412,6 +418,7 @@ def flag_manifold_dim(dims: Sequence[int], m: int) -> int:
     a single step k this is k*(m-k), and for the complete flag m*(m-1)/2.
     """
     dims = list(dims)
+    _require_ints("the dimensions and m", *dims, m)
     if not dims or any(d <= 0 or d >= m for d in dims):
         raise ValueError("subspace dimensions must lie strictly between 0 and m")
     if sorted(set(dims)) != dims:
@@ -437,5 +444,6 @@ class ExpectedDimReport:
 def expected_dim_report(conditions: Iterable, ambient_dim: int) -> ExpectedDimReport:
     """Ambient dimension minus total codimension; negative means empty for
     general flags."""
+    _require_ints("the ambient dimension", ambient_dim)
     expected = ambient_dim - sum(condition_codim(c) for c in conditions)
     return ExpectedDimReport(expected=expected, empty_for_general=expected < 0)

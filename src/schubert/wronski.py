@@ -17,7 +17,9 @@ condition of P at t0.
 
 Everything runs over Z.  A plane scales its basis to integer coefficient
 rows once, when it is built; the Wronskian, the vanishing orders of the
-plane and the root orders of a polynomial all read integer rows.  Both
+plane and the root orders of a polynomial all read integer rows.  The
+Wronskian is a Cauchy-Binet sum over the maximal minors of the rows, the
+plane's Pluecker coordinates, with Vandermonde weights.  Both
 orders come from one expansion, :func:`poly._taylor_coefficients`: the
 Taylor coefficients at t0 = u/v, scaled by powers of v to stay integers.
 A plane over Q(sqrt(d)) keeps its own coefficients and runs the same ring
@@ -29,13 +31,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import comb, prod
 
 from .errors import DegenerateConfiguration, ZeroPolynomial
 from .grassmann import GrPoint, SchubertCondition, codim
 from .linalg import (Matrix, _echelon, _integer_rows, _rational,
                      simplify_scalar, solve_quadratic)
-from .poly import PolyQ, _poly_mul, _taylor_coefficients
+from .poly import PolyQ, _taylor_coefficients
 
 __all__ = [
     "PolyPlane",
@@ -82,38 +86,66 @@ class PolyPlane:
         object.__setattr__(self, "_scales", scales)
 
 
-def _poly_det(grid: list[list[list]]) -> list:
-    """Determinant of a square matrix of polynomials, each a coefficient list
-    (lowest degree first) of ints or exact scalars, by first-row expansion."""
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    out: list = []
-    for c in range(n):
-        if not grid[0][c]:
-            continue
-        minor = [row[:c] + row[c + 1:] for row in grid[1:]]
-        term = _poly_mul(grid[0][c], _poly_det(minor))
-        out += [0] * (len(term) - len(out))
-        for i, x in enumerate(term):
-            out[i] = out[i] - x if c % 2 else out[i] + x
-    return out
+@lru_cache(maxsize=8)
+def _cauchy_binet_table(k: int, m: int) -> tuple[list, list]:
+    """The Laplace steps and the Cauchy-Binet terms of a k x m plane.
+
+    ``steps[r]`` is (moves, size): ``moves[i]`` holds a pair (c', j) per
+    column c outside the i-th r-subset S, where j indexes S + {c} among the
+    ``size`` (r+1)-subsets and c' indexes row r's signed entry in the row
+    followed by its negation: c, or c + m when #{s in S : s > c} is odd.
+    ``terms[j]`` is the exponent of t and the Vandermonde weight of the
+    j-th k-subset.
+    """
+    steps, level = [], [()]
+    for _ in range(k):
+        index: dict = {}
+        moves = [[(c + m * (sum(s > c for s in S) % 2),
+                   index.setdefault(tuple(sorted(S + (c,))), len(index)))
+                  for c in range(m) if c not in S] for S in level]
+        steps.append((moves, len(index)))
+        level = list(index)
+    terms = [(sum(S) - k * (k - 1) // 2,
+              prod(b - a for a, b in combinations(S, 2))) for S in level]
+    return steps, terms
 
 
 def wronskian(plane: PolyPlane) -> PolyQ:
     """det of the k x k matrix of derivatives (row a holds the a-th derivative).
 
     Nonzero for any plane, of degree at most k*(m-k) after the forced factor
-    structure; invariant up to scale under change of basis.  The
-    determinant is taken over the plane's scaled coefficient rows (integers
-    unless the plane is irrational) and divided once by the product of the
-    scales.
+    structure; invariant up to scale under change of basis.  By Cauchy-Binet
+    on W = det(A M(t)), with A the plane's k x m scaled coefficient rows
+    (integers unless the plane is irrational) and M(t)[j][b] the b-th
+    derivative of t^j,
+
+        prod(scales) * W(t) = sum over k-subsets S of columns of
+            Delta_S(A) * prod_{a < b in S} (b - a) * t^(sum(S) - k(k-1)/2).
+
+    The maximal minors Delta_S come from one pass over the rows, each
+    expanding the minors of the rows before it along itself; zero entries
+    and zero minors are skipped.  The sum is divided once by the product of
+    the scales.
     """
-    grid = [plane._rows]
-    for _ in range(plane.k - 1):
-        grid.append([[j * c for j, c in enumerate(cs)][1:] for cs in grid[-1]])
+    k, m = plane.k, plane.m
+    steps, terms = _cauchy_binet_table(k, m)
+    minors = [1]
+    for row, (moves, size) in zip(plane._rows, steps):
+        signed = row + [-x for x in row]
+        expanded = [0] * size
+        for minor, targets in zip(minors, moves):
+            if minor:
+                for c, j in targets:
+                    x = signed[c]
+                    if x:
+                        expanded[j] += x * minor
+        minors = expanded
+    out = [0] * (k * (m - k) + 1)
+    for minor, (e, weight) in zip(minors, terms):
+        if minor:
+            out[e] += weight * minor
     scale = Fraction(prod(plane._scales))
-    return PolyQ([c / scale for c in _poly_det(grid)])
+    return PolyQ([c / scale for c in out])
 
 
 def vanishing_order(f: PolyQ, t0) -> int:

@@ -16,10 +16,10 @@ METRICS = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2
 ENV = {"python": "3.11.7", "platform": "Linux", "git_revision": "abc", "nproc": 2}
 
 
-def _record(label, runs):
+def _record(label, runs, attempted=10):
     rec = bench_record.record(label, 25)
     for workload, seed, ops, rss in runs:
-        result = {"correct": True, "attempted": 10, "failed": 0,
+        result = {"correct": True, "attempted": attempted, "failed": 0,
                   "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
                               "max_rss_mb": {"value": rss, "unit": "MB"}}}
         bench_record.add_run(rec, workload, seed, ENV, result)
@@ -58,6 +58,21 @@ def test_compare_pairs_runs_by_seed():
     text = bench_record.format_rows(base, new, rows)
     assert text.splitlines()[0] == "new against base base"
     assert "1.1818" in text and "2/3" in text
+
+
+def test_compare_shows_op_counts_beside_rss():
+    base = _record("base", [("eh_check", 1, 100.0, 30.0),
+                            ("eh_check", 2, 110.0, 31.0)], attempted=2500)
+    new = _record("new", [("eh_check", 1, 150.0, 32.0)], attempted=3750)
+    base["runs"][1]["result"]["attempted"] = 2700  # median of 2500 and 2700
+    rows = bench_record.compare(base, new, METRICS)
+    ops, rss = rows
+    assert "attempted" not in ops
+    assert rss["attempted"] == [2600, 3750]
+    ops_line, rss_line = bench_record.format_rows(base, new, rows).splitlines()[2:]
+    assert "attempted" not in ops_line
+    assert rss_line.startswith("eh_check") and "max_rss_mb" in rss_line
+    assert rss_line.endswith("lower  attempted 2600 -> 3750")
 
 
 def test_environment_must_not_change():

@@ -12,7 +12,9 @@ import pytest
 
 from schubert.flags import (Flag, GroupKind, curve_point, exp_translate_flag,
                             osculating_flag, principal_nilpotent)
-from schubert.grassmann import SchubertCondition, codim, pad_to_zero_dimensional
+from schubert.grassmann import (PermCondition, SchubertCondition, codim,
+                                expected_dim_report, flag_manifold_dim,
+                                pad_to_zero_dimensional)
 from schubert.jsonio import rational_to_str
 from schubert.linalg import Matrix, QuadExt, exp_nilpotent, solve_quadratic
 from schubert.poly import PolyQ
@@ -89,8 +91,27 @@ def test_exact_entries_pass_through_unchanged():
     lambda: GroupKind("Sp", 2.0).ambient_dim,
     lambda: GroupKind("SL", True),
     lambda: Flag(4.0, Matrix.identity(4)),
+    lambda: flag_manifold_dim([2], 4.0),
+    lambda: flag_manifold_dim([True], 3),
+    lambda: flag_manifold_dim([2.0], 4),
+    lambda: expected_dim_report([], 8.5),
+    lambda: expected_dim_report([], True),
+    lambda: PermCondition(4, (1, 2, 3, 4), (2.0,)),
+    lambda: PermCondition(4.0, (1, 2, 3, 4), ()),
+    lambda: PermCondition(2, (1.0, 2), ()),
+    lambda: PermCondition(2, (True, 2), ()),
 ], ids=["condition m", "condition index", "condition k", "group param float",
-        "group param bool", "flag ambient_dim"])
+        "group param bool", "flag ambient_dim", "flag manifold m float",
+        "flag manifold dim bool", "flag manifold dim float",
+        "expected dim float", "expected dim bool", "perm descent float",
+        "perm m float", "perm entry float", "perm entry bool"])
 def test_sizes_must_be_ints(build):
     with pytest.raises(TypeError):
         build()
+
+
+def test_int_sizes_still_answer():
+    assert flag_manifold_dim([2], 4) == 4
+    assert flag_manifold_dim([1, 2], 3) == 3
+    assert expected_dim_report([SchubertCondition(2, 4, (2, 4))], 4).expected == 3
+    assert PermCondition(4, (1, 3, 2, 4), (2,)).perm == (1, 3, 2, 4)

@@ -14,7 +14,7 @@ from schubert.errors import DegenerateConfiguration, ZeroPolynomial
 from schubert.flags import GroupKind, osculating_flag
 from schubert.grassmann import (cell_interior, codim, iota, membership,
                                 small_solver_gr24, transversality_certificate)
-from schubert.linalg import Matrix, rank
+from schubert.linalg import Matrix, det, rank
 from schubert.poly import PolyQ
 from schubert.wronski import (EHReport, PolyPlane, check_eh_identity,
                               plane_to_grpoint, plane_vanishing_orders,
@@ -39,16 +39,19 @@ def test_wronskian_frozen_small_cases():
 
 def test_wronskian_scales_by_determinant_under_basis_change():
     rng = random.Random(4)
-    for _ in range(10):
-        plane = random_plane(2, 5, rng)
+    planes = [random_plane(k, m, rng) for k, m in [(2, 5), (3, 6), (4, 8)]
+              for _ in range(10)]
+    planes.append(wronski_solver_gr24([0, 1, 2, 3])[0])  # over Q(sqrt(13))
+    for plane in planes:
+        k = plane.k
         while True:
-            g = [[F(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
-            detg = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+            g = [[F(rng.randint(-3, 3)) for _ in range(k)] for _ in range(k)]
+            detg = det(Matrix(g))
             if detg:
                 break
-        p, q = plane.basis
-        changed = PolyPlane(5, 2, (p * g[0][0] + q * g[0][1],
-                                   p * g[1][0] + q * g[1][1]))
+        changed = PolyPlane(plane.m, k, tuple(
+            sum((p * c for p, c in zip(plane.basis, row)), PolyQ())
+            for row in g))
         assert wronskian(changed) == wronskian(plane) * detg
 
 

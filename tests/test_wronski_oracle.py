@@ -1,6 +1,7 @@
 """The integer Wronskian and vanishing-order paths against independent oracles.
 
-`wronskian` is compared with sympy's Wronskian of the same polynomials,
+`wronskian` is compared with sympy's Wronskian of the same polynomials and
+with the Laplace expansion of the k x k grid of derivatives it replaced,
 `poly._taylor_coefficients` with sympy's derivatives at t0,
 `plane_vanishing_orders` with the rref pivots of the derivative-jet matrix
 evaluated at t0, and `vanishing_order` with repeated Fraction division by
@@ -12,12 +13,13 @@ solver.
 import random
 from dataclasses import fields
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from schubert.errors import ZeroPolynomial
 from schubert.linalg import Matrix, QuadExt, rref
-from schubert.poly import PolyQ, _taylor_coefficients
+from schubert.poly import PolyQ, _poly_mul, _taylor_coefficients
 from schubert.wronski import (PolyPlane, plane_vanishing_orders, random_plane,
                               vanishing_order, wronski_solver_gr24, wronskian)
 
@@ -99,6 +101,51 @@ def test_wronskian_matches_sympy():
         ref = sympy.wronskian([expr(p) for p in plane.basis], t,
                               method="domain-ge")
         assert sympy.expand(expr(wronskian(plane)) - ref) == 0, plane
+
+
+def _poly_det(grid):
+    # determinant of a square matrix of coefficient lists (lowest degree
+    # first), by first-row Laplace expansion
+    n = len(grid)
+    if n == 1:
+        return grid[0][0]
+    out = []
+    for c in range(n):
+        if not grid[0][c]:
+            continue
+        minor = [row[:c] + row[c + 1:] for row in grid[1:]]
+        term = _poly_mul(grid[0][c], _poly_det(minor))
+        out += [0] * (len(term) - len(out))
+        for i, x in enumerate(term):
+            out[i] = out[i] - x if c % 2 else out[i] + x
+    return out
+
+
+def _grid_wronskian(plane):
+    # the expansion `wronskian` replaced: row a of the grid holds the a-th
+    # derivatives of the scaled basis rows, and the determinant is divided
+    # by the product of the scales
+    grid = [plane._rows]
+    for _ in range(plane.k - 1):
+        grid.append([[j * c for j, c in enumerate(cs)][1:] for cs in grid[-1]])
+    return PolyQ([c / F(prod(plane._scales)) for c in _poly_det(grid)])
+
+
+def test_wronskian_matches_derivative_grid():
+    rng = random.Random(13)
+    shapes = [(k, m) for m in range(1, 9) for k in range(1, m + 1)]
+    seeded = [random_plane(k, m, rng) for k, m in shapes for _ in range(2)]
+    solver = [plane for roots in ([0, 1, 2, 3], [0, 1, -1, 5], [F(1, 2), 2, 3, -7])
+              for plane in wronski_solver_gr24(roots)]
+    assert sum(any(type(c) is QuadExt for p in plane.basis for c in p.coeffs)
+               for plane in solver) >= 4
+    for plane in seeded + [p for p, _ in _power_planes()] + solver:
+        W = wronskian(plane)
+        assert W == _grid_wronskian(plane), plane
+        if plane.k == 1:
+            assert W == plane.basis[0]
+        if plane.k == plane.m:
+            assert W.degree() == 0
 
 
 def test_taylor_coefficients_match_sympy():

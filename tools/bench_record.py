@@ -17,7 +17,9 @@ the two alternating which goes first, and the base runs go to
 
 ``--compare`` prints, per workload and end-to-end metric of
 ``BENCHMARK.json``, the base median and quartile spread, the new median,
-their ratio, and how many runs paired by seed the new record wins.
+their ratio, and how many runs paired by seed the new record wins.  The
+``max_rss_mb`` line also shows both records' median ``attempted`` op
+counts: RSS that follows the op count is not memory the code holds.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV_PREFIX = "environment: "
+RSS_METRIC = "max_rss_mb"
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -91,6 +94,10 @@ def compare(base: dict, new: dict, metrics: list[dict]) -> list[dict]:
     for workload in workloads:
         if not any(r["workload"] == workload for r in new["runs"]):
             continue
+        attempted = [statistics.median(r["result"]["attempted"]
+                                       for r in rec["runs"]
+                                       if r["workload"] == workload)
+                     for rec in (base, new)]
         for spec in metrics:
             name = spec["name"]
             b = _values(base, workload, name)
@@ -107,6 +114,8 @@ def compare(base: dict, new: dict, metrics: list[dict]) -> list[dict]:
                          "new_median": n_med,
                          "ratio": n_med / b_med if b_med else float("nan"),
                          "wins": wins, "pairs": len(pairs)})
+            if name == RSS_METRIC:
+                rows[-1]["attempted"] = attempted  # base and new medians
     return rows
 
 
@@ -119,7 +128,9 @@ def format_rows(base: dict, new: dict, rows: list[dict]) -> str:
         lines.append(
             f"{r['workload']:16s} {r['metric']:16s} {r['base_median']:12.6g} "
             f"{r['base_spread']:10.4g} {r['new_median']:12.6g} "
-            f"{r['ratio']:9.4f} {r['wins']:3d}/{r['pairs']:<3d}  {r['better']}")
+            f"{r['ratio']:9.4f} {r['wins']:3d}/{r['pairs']:<3d}  {r['better']}"
+            + ("  attempted {:g} -> {:g}".format(*r["attempted"])
+               if "attempted" in r else ""))
     return "\n".join(lines)
 
 
