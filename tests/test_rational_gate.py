@@ -3,7 +3,8 @@
 Every public entry point that reads a rational parameter, every ``Matrix``
 and ``PolyQ`` entry and both parts of a ``QuadExt`` take an int or a
 Fraction and raise TypeError for a float, a str or a bool; sizes of
-conditions, groups and flags are ints that are not bools.
+conditions, permutation conditions, groups, flags, flag manifolds and
+ambient dimensions are ints that are not bools.
 """
 
 from fractions import Fraction

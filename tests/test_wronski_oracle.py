@@ -1,13 +1,13 @@
 """The integer Wronskian and vanishing-order paths against independent oracles.
 
-`wronskian` is compared with sympy's Wronskian of the same polynomials and
-with the Laplace expansion of the k x k grid of derivatives it replaced,
+`wronskian` is compared with sympy's Wronskian of the same polynomials,
 `poly._taylor_coefficients` with sympy's derivatives at t0,
 `plane_vanishing_orders` with the rref pivots of the derivative-jet matrix
 evaluated at t0, and `vanishing_order` with repeated Fraction division by
 (t - t0), on seeded planes (k <= 5, m <= 8), on planes and polynomials built
 from powers of (t - t0), and on a Q(sqrt(13)) plane of the Gr(2, 4) Wronski
-solver.
+solver.  `wronskian` is also compared with the Laplace expansion of the
+k x k grid of derivatives that it replaced, for every 1 <= k <= m <= 8.
 """
 
 import random
