@@ -19,12 +19,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property, lru_cache
+from math import factorial, gcd, lcm
 from operator import mul
 
 from .errors import DimensionMismatch, UnsupportedGroup
-from .linalg import (Matrix, _echelon, _integer_rows, _nilpotent_powers,
-                     _over_common_denominator, _rational, exp_nilpotent, rank)
+from .linalg import (Matrix, _echelon, _exp_rows, _integer_rows,
+                     _nilpotent_powers, _over_common_denominator, _rational,
+                     rank)
 from .poly import PolyQ, _taylor_coefficients
 
 __all__ = [
@@ -97,7 +99,10 @@ class Flag:
     """A complete flag in C^m, stored as an invertible basis matrix.
 
     Column i spans the new direction of the i-th subspace: the j-th subspace
-    of the flag is the span of the first j columns.
+    of the flag is the span of the first j columns.  ``_rows`` holds the
+    basis rows over one common denominator, as ints when the basis is
+    rational; it is computed on first use, or filled in by :func:`_flag_of`,
+    and is not a field, so equality, hashing and repr see only the basis.
     """
 
     ambient_dim: int
@@ -120,6 +125,29 @@ class Flag:
     def prefix(self, i: int) -> Matrix:
         """Basis of the i-dimensional subspace, as an m x i matrix."""
         return self.basis.take_columns(range(i))
+
+    @cached_property
+    def _rows(self) -> tuple[tuple, ...]:
+        """The rows of :func:`_over_common_denominator`; only read."""
+        return tuple(map(tuple, _over_common_denominator(self.basis._data)[0]))
+
+
+def _flag_of(m: int, rows: list[list[int]], den: int) -> Flag:
+    """The Flag with basis ``rows / den``, for m x m integer rows, and with
+    ``_rows`` filled in: the rows divided by their gcd, as tuples.  Raises
+    ValueError when the rows are singular, as the public constructor does."""
+    if len(_echelon([row[:] for row in rows], m)[0]) != m:
+        raise ValueError("flag basis matrix is singular")
+    g = gcd(*(x for row in rows for x in row))
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+        den //= g
+    flag = object.__new__(Flag)
+    object.__setattr__(flag, "ambient_dim", m)
+    object.__setattr__(flag, "basis", Matrix(
+        [[Fraction(x, den) for x in row] for row in rows], shape=(m, m)))
+    flag.__dict__["_rows"] = tuple(map(tuple, rows))
+    return flag
 
 
 @dataclass(frozen=True)
@@ -174,6 +202,14 @@ def curve_point(kind: GroupKind, t) -> Matrix:
     return Matrix.from_columns([[p(t) for p in curve_polynomials(kind)]])
 
 
+@lru_cache(maxsize=32)
+def _curve_rows(kind: GroupKind) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Per curve entry, the integer coefficients of :func:`_integer_rows`
+    (lowest degree first) and their denominator."""
+    rows, scales = _integer_rows([p.coeffs for p in curve_polynomials(kind)])
+    return tuple(zip(map(tuple, rows), scales))
+
+
 def osculating_flag(kind: GroupKind, t) -> Flag:
     """The flag of derivative spans of the curve at t.
 
@@ -183,19 +219,25 @@ def osculating_flag(kind: GroupKind, t) -> Flag:
     an integer polynomial p_j of degree d_j, its i-th derivative
     (0-indexed) at t is i! * h_i / (D_j * v^(d_j - i)), where h_i is the
     i-th integer Taylor coefficient of p_j from
-    :func:`poly._taylor_coefficients`, and 0 for i > d_j.
+    :func:`poly._taylor_coefficients`, and 0 for i > d_j.  Over the common
+    denominator L * v^(m-1), with L the lcm of the D_j, that is the integer
+    i! * h_i * (L / D_j) * v^(m-1-d_j+i).
     """
     t = _rational(t)
     v = t.denominator
     m = kind.ambient_dim
-    polys = curve_polynomials(kind)
+    curve = _curve_rows(kind)
+    L = lcm(*(scale for _, scale in curve))
     rows = []
-    for ns, scale in zip(*_integer_rows([p.coeffs for p in polys])):
+    for ns, scale in curve:
         d = len(ns) - 1
-        rows.append([Fraction(factorial(i) * h, scale * v ** (d - i))
-                     for i, h in enumerate(_taylor_coefficients(ns, t))]
-                    + [Fraction(0)] * (m - 1 - d))
-    return Flag(m, Matrix(rows, shape=(m, m)))
+        f = L // scale * v ** (m - 1 - d)
+        row = []
+        for i, h in enumerate(_taylor_coefficients(ns, t)):
+            row.append(factorial(i) * h * f)
+            f *= v
+        rows.append(row + [0] * (m - 1 - d))
+    return _flag_of(m, rows, L * v ** (m - 1))
 
 
 # -- bilinear forms ----------------------------------------------------------
@@ -225,17 +267,16 @@ def is_isotropic_flag(flag: Flag, form: BilinearForm) -> bool:
     """Whether the i-dim subspace pairs to zero with the (m-i)-dim one, all i.
 
     Equivalently, with P = basis^T * gram * basis, every entry P[a][b] with
-    (1-indexed) a + b <= m vanishes.  P is formed from the basis columns
-    and the Gram matrix as :func:`_integer_rows` and
-    :func:`_over_common_denominator` scale them; nonzero scalings of single
-    columns and of the whole Gram matrix leave the zero pattern of P
-    unchanged.
+    (1-indexed) a + b <= m vanishes.  P is formed from the columns of the
+    flag's ``_rows`` and the Gram matrix as :func:`_over_common_denominator`
+    scales it; nonzero scalings of the basis and of the Gram matrix leave
+    the zero pattern of P unchanged.
     """
     m = flag.ambient_dim
     if form.ambient_dim != m:
         raise DimensionMismatch(
             f"flag in dimension {m}, form in dimension {form.ambient_dim}")
-    cols, _ = _integer_rows([flag.basis.column(j) for j in range(m)])
+    cols = list(zip(*flag._rows))
     gram, _ = _over_common_denominator(form.gram.to_rows())
     nonzeros = [[(b, g) for b, g in enumerate(row) if g] for row in gram]
     # column j of gram * basis, for the columns some pairing needs
@@ -299,25 +340,38 @@ def exp_translate_flag(kind: GroupKind, t) -> Flag:
     """
     if kind.tag == "SO_even":
         raise UnsupportedGroup(f"{kind} has no attached flag family")
-    g = exp_nilpotent(principal_nilpotent(kind), t)
-    return Flag(kind.ambient_dim, g)
+    t = _rational(t)
+    m = kind.ambient_dim
+    return _flag_of(m, *_exp_rows(*_principal_powers(kind), m, t))
+
+
+@lru_cache(maxsize=32)
+def _principal_powers(kind: GroupKind) -> tuple[int, tuple]:
+    """:func:`_nilpotent_powers` of :func:`principal_nilpotent`, each power
+    a tuple of int tuples."""
+    D, powers = _nilpotent_powers(principal_nilpotent(kind))
+    return D, tuple(tuple(map(tuple, P)) for P in powers)
 
 
 def flags_equal(F: Flag, G: Flag) -> bool:
     """Whether two bases present the same flag (equal prefix spans for all i).
 
     That holds iff F^-1 * G is upper triangular.  One echelon form of
-    [F | G] (fraction-free on the rows of :func:`_integer_rows` when every
-    entry is rational) leaves rows E * [F | G] with E * F upper triangular and
+    [F | G] leaves rows E * [F | G] with E * F upper triangular and
     invertible, so it is enough that the strictly lower part of E * G
-    vanishes.
+    vanishes.  When both flags are rational the echelon form is
+    fraction-free on their ``_rows`` side by side, which scale F and G by
+    one nonzero number each; otherwise it runs on the rows of
+    :func:`_integer_rows`, which never set ints beside irrational entries.
     """
     if F.ambient_dim != G.ambient_dim:
         raise DimensionMismatch(
             f"flags in dimensions {F.ambient_dim} and {G.ambient_dim}")
     m = F.ambient_dim
-    rows, _ = _integer_rows([F.basis.row(i) + G.basis.row(i)
-                             for i in range(m)])
+    rows = [[*f, *g] for f, g in zip(F._rows, G._rows)]
+    if not all(type(x) is int for row in rows for x in row):
+        rows, _ = _integer_rows([F.basis.row(i) + G.basis.row(i)
+                                 for i in range(m)])
     _echelon(rows, 2 * m)
     return not any(rows[i][m + j] for j in range(m) for i in range(j + 1, m))
 

@@ -556,28 +556,40 @@ def _nilpotent_powers(N: Matrix) -> tuple[int, list[list[list]]]:
     return D, powers
 
 
-def exp_nilpotent(N: Matrix, t) -> Matrix:
-    """``exp(t*N)`` for nilpotent ``N``, as the finite sum of ``t^j N^j / j!``.
+def _exp_rows(D: int, powers: Sequence[Sequence[Sequence]], n: int,
+              t: Fraction) -> tuple[list[list], int]:
+    """``(rows, den)`` with ``rows / den == exp(t*N)``, for the n x n
+    nilpotent N whose powers ``(D*N)^j`` are ``powers``, as
+    :func:`_nilpotent_powers` lists them; ``powers`` is only read.
 
-    With ``t = u/v`` and the powers ``P_j = (D*N)^j`` of
-    :func:`_nilpotent_powers`, the sum is
-    ``sum_j u^j (vD)^(J-j) (J!/j!) P_j``, integral for rational N, divided
-    once by ``(vD)^J J!``.  Raises NotNilpotent when ``N^rows != 0``.
+    With ``t = u/v`` the sum of ``t^j N^j / j!`` is
+    ``sum_j u^j (vD)^(J-j) (J!/j!) P_j``, integral for rational N, over
+    ``den = (vD)^J J!``.
     """
-    t = _rational(t)
-    D, powers = _nilpotent_powers(N)
-    n, J = N.rows, len(powers)
+    J = len(powers)
     w = t.denominator * D
     den = w ** J * factorial(J)
-    acc = [[den if r == c else 0 for c in range(n)] for r in range(n)]
+    rows = [[den if r == c else 0 for c in range(n)] for r in range(n)]
     for j, P in enumerate(powers, 1):
         coef = t.numerator ** j * w ** (J - j) * (factorial(J) // factorial(j))
-        for row, prow in zip(acc, P):
+        for row, prow in zip(rows, P):
             for c, x in enumerate(prow):
                 if x:
                     row[c] += coef * x
+    return rows, den
+
+
+def exp_nilpotent(N: Matrix, t) -> Matrix:
+    """``exp(t*N)`` for nilpotent ``N``, as the finite sum of ``t^j N^j / j!``:
+    the rows of :func:`_exp_rows` on the powers of :func:`_nilpotent_powers`,
+    divided once by their common denominator.  Raises NotNilpotent when
+    ``N^rows != 0``.
+    """
+    t = _rational(t)
+    D, powers = _nilpotent_powers(N)
+    rows, den = _exp_rows(D, powers, N.rows, t)
     return Matrix([[Fraction(x, den) if isinstance(x, int) else x / den
-                    for x in row] for row in acc], shape=(n, n))
+                    for x in row] for row in rows], shape=(N.rows, N.rows))
 
 
 def solve_quadratic(a, b, c) -> list[QuadExt]:
