@@ -569,14 +569,14 @@ def _exp_rows(D: int, powers: Sequence[Sequence[Sequence]], n: int,
     J = len(powers)
     w = t.denominator * D
     den = w ** J * factorial(J)
-    rows = [[den if r == c else 0 for c in range(n)] for r in range(n)]
+    acc = [[den if r == c else 0 for c in range(n)] for r in range(n)]
     for j, P in enumerate(powers, 1):
         coef = t.numerator ** j * w ** (J - j) * (factorial(J) // factorial(j))
-        for row, prow in zip(rows, P):
+        for row, prow in zip(acc, P):
             for c, x in enumerate(prow):
                 if x:
                     row[c] += coef * x
-    return rows, den
+    return acc, den
 
 
 def exp_nilpotent(N: Matrix, t) -> Matrix:

@@ -94,3 +94,48 @@ def test_recording_rejects_bad_selection_before_running(argv):
     with pytest.raises(SystemExit) as e:
         bench_record.main(argv)
     assert e.value.code == 2
+
+
+def _ten_pairs(base_ops, new_ops, base_rss=30.0, new_rss=30.0):
+    """Records of ten seeds: the base's ops/s per seed and the new record's."""
+    base = _record("base", [("eh_check", s, ops, base_rss)
+                            for s, ops in enumerate(base_ops, 1)])
+    new = _record("new", [("eh_check", s, ops, new_rss)
+                          for s, ops in enumerate(new_ops, 1)])
+    return {r["metric"]: r for r in bench_record.compare(base, new, METRICS)}
+
+
+SPREAD = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+
+@pytest.mark.parametrize("new_ops, want", [
+    ([x + 20 for x in SPREAD], "gain"),                    # 10/10, +20 > IQR 4.5
+    ([x + 20 for x in SPREAD[:9]] + [90.0], "gain"),       # 9/10 still counts
+    ([x + 20 for x in SPREAD[:8]] + [90.0, 90.0], "ok"),   # 8/10 does not
+    ([x + 3 for x in SPREAD], "ok"),                       # 10/10, +3 < IQR
+    ([x - 20 for x in SPREAD], "ok"),                      # worse, within 25 %
+    ([x * 0.7 for x in SPREAD], "regression"),             # worse by 30 %
+])
+def test_compare_verdict_on_ops(new_ops, want):
+    row = _ten_pairs(SPREAD, new_ops)["ops_per_s"]
+    assert row["verdict"] == want
+    assert f"  {want:10s}  higher" in bench_record.format_rows(
+        {"label": "base"}, {"label": "new"}, [row])
+
+
+def test_compare_verdict_unresolved_when_base_spreads_past_the_bound():
+    wide = [60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0, 130.0, 140.0, 150.0]
+    assert _ten_pairs(wide, [x + 5 for x in wide])["ops_per_s"]["verdict"] \
+        == "unresolved"  # IQR 45 > 0.25 * 105
+    # a worse median past the bound is a regression whatever the spread
+    assert _ten_pairs(wide, [x * 0.5 for x in wide])["ops_per_s"]["verdict"] \
+        == "regression"
+
+
+def test_compare_verdict_on_a_lower_is_better_metric():
+    # max_rss_mb: lower is better, bound 10 %; every base run reads 30 MB
+    rows = _ten_pairs(SPREAD, SPREAD, new_rss=33.5)
+    assert rows["max_rss_mb"]["verdict"] == "regression"
+    assert rows["ops_per_s"]["verdict"] == "ok"
+    assert _ten_pairs(SPREAD, SPREAD, new_rss=32.5)["max_rss_mb"]["verdict"] == "ok"
+    assert _ten_pairs(SPREAD, SPREAD, new_rss=25.0)["max_rss_mb"]["verdict"] == "gain"

@@ -7,6 +7,9 @@ B^T * G * B for is_isotropic_flag, and a product of dense matrix
 exponentials of root elements for random_isotropic_flag.  Inputs are seeded; the nilpotents are
 dense (strictly lower triangular, conjugated by a random invertible matrix),
 and flag pairs and isotropic bases come both unchanged and perturbed.
+The flags that osculating_flag and exp_translate_flag build carry integer
+rows from their construction; they are checked against the public
+constructor's rows and paired with flags over Q(sqrt(5)).
 """
 
 import random
@@ -16,8 +19,9 @@ from math import factorial
 import pytest
 
 from schubert.errors import NotNilpotent
-from schubert.flags import (Flag, GroupKind, curve_polynomials, flags_equal,
-                            gram_matrix, is_isotropic_flag, nilpotency_index,
+from schubert.flags import (Flag, GroupKind, _flag_of, curve_polynomials,
+                            exp_translate_flag, flags_equal, gram_matrix,
+                            is_isotropic_flag, nilpotency_index,
                             osculating_flag, principal_nilpotent,
                             random_isotropic_flag)
 from schubert.linalg import Matrix, QuadExt, exp_nilpotent, inverse, rank
@@ -267,3 +271,76 @@ def test_is_isotropic_flag_sees_the_single_first_last_pairing():
                     if P[i, j]] == [(0, m - 2), (m - 2, 0)]
             assert is_isotropic_flag(flag, form) is False, (kind, s)
             assert ref_is_isotropic(flag, form) is False
+
+
+def _proportional(xs, ys):
+    """Whether xs == c * ys for one nonzero rational c."""
+    return (len(xs) == len(ys) and all(bool(x) == bool(y) for x, y in zip(xs, ys))
+            and len({F(x) / y for x, y in zip(xs, ys) if y}) == 1)
+
+
+FLAG_KINDS = ([GroupKind.sl(m) for m in range(2, 11)]
+              + [GroupKind.sp(n) for n in range(1, 6)]
+              + [GroupKind.so_odd(n) for n in range(1, 6)])
+
+
+def test_exp_translate_flag_matches_exp_nilpotent():
+    # two passes over the points: the second reads the per-kind caches the
+    # first filled, so a cache that a call mutated would show there
+    for kind in FLAG_KINDS:
+        N = principal_nilpotent(kind)
+        want = {t: _typed_entries(exp_nilpotent(N, t)) for t in T_VALUES}
+        oscs = {t: _typed_entries(osculating_flag(kind, t).basis)
+                for t in T_VALUES}
+        for _ in range(2):
+            for t in T_VALUES:
+                flag = exp_translate_flag(kind, t)
+                assert _typed_entries(flag.basis) == want[t], (kind, t)
+                assert _typed_entries(osculating_flag(kind, t).basis) == oscs[t]
+                # the integer rows filled in at construction present the basis,
+                # and are no part of equality, hash or repr
+                same = Flag(kind.ambient_dim, flag.basis)
+                assert (same, hash(same), repr(same)) == (flag, hash(flag), repr(flag))
+                public = same._rows
+                assert all(type(x) is int for row in flag._rows for x in row)
+                assert _proportional([x for r in flag._rows for x in r],
+                                     [x for r in public for x in r]), (kind, t)
+
+
+def test_flag_of_refuses_singular_rows():
+    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
+        with pytest.raises(ValueError, match="singular"):
+            _flag_of(len(rows), rows, 3)
+
+
+def test_mixed_field_pairs_match_references():
+    # a flag with integer rows from its construction beside a flag over
+    # Q(sqrt(5)), in both orders: the same flag in another basis, or moved
+    rng = random.Random(16)
+    kinds = [GroupKind.sl(2), GroupKind.sl(3), GroupKind.sp(1), GroupKind.sp(2),
+             GroupKind.so_odd(1)]
+    verdicts = {True: 0, False: 0}
+    isotropic = {True: 0, False: 0}
+    for trial in range(30):
+        kind = kinds[trial % len(kinds)]
+        m = kind.ambient_dim
+        t = F(rng.randint(-9, 9), rng.randint(1, 9))
+        f = (exp_translate_flag if trial % 2 else osculating_flag)(kind, t)
+        B = f.basis * _upper(rng, m, D)
+        if trial % 3 == 0:
+            B = _perturbed(rng, B, D)
+        if rank(B) < m or not any(type(x) is QuadExt and x.b
+                                  for i in range(m) for x in B.row(i)):
+            continue
+        g = Flag(m, B)
+        want = ref_flags_equal(f, g)
+        assert flags_equal(f, g) == want == flags_equal(g, f), (kind, trial)
+        verdicts[want] += 1
+        if kind.tag != "SL":
+            form = gram_matrix(kind)
+            for flag in (f, g):
+                iso = ref_is_isotropic(flag, form)
+                assert is_isotropic_flag(flag, form) == iso, (kind, trial)
+                isotropic[iso] += 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 5
+    assert isotropic[True] >= 10 and isotropic[False] >= 3

@@ -17,9 +17,10 @@ the two alternating which goes first, and the base runs go to
 
 ``--compare`` prints, per workload and end-to-end metric of
 ``BENCHMARK.json``, the base median and quartile spread, the new median,
-their ratio, and how many runs paired by seed the new record wins.  The
-``max_rss_mb`` line also shows both records' median ``attempted`` op
-counts: RSS that follows the op count is not memory the code holds.
+their ratio, how many runs paired by seed the new record wins, and a
+verdict (see :func:`verdict`).  The ``max_rss_mb`` line also shows both
+records' median ``attempted`` op counts: RSS that follows the op count is
+not memory the code holds.
 """
 
 from __future__ import annotations
@@ -87,6 +88,25 @@ def _quartile_spread(values: list) -> float:
     return q3 - q1
 
 
+def verdict(row: dict, bound: float) -> str:
+    """The first that holds of: ``regression``, the new median is worse
+    than the base median by more than the relative bound; ``gain``, the new
+    record wins at least nine tenths of the pairs and the medians differ, in
+    the better direction, by more than the base quartile spread;
+    ``unresolved``, the base quartile spread is wider than the bound, so a
+    change within it cannot be told from noise; ``ok``, anything else."""
+    b, n = row["base_median"], row["new_median"]
+    sign = 1 if row["better"] == "higher" else -1
+    if sign * (n - b) < -bound * abs(b):
+        return "regression"
+    if (row["pairs"] and 10 * row["wins"] >= 9 * row["pairs"]
+            and sign * (n - b) > row["base_spread"]):
+        return "gain"
+    if row["base_spread"] > bound * abs(b):
+        return "unresolved"
+    return "ok"
+
+
 def compare(base: dict, new: dict, metrics: list[dict]) -> list[dict]:
     """One row per workload in both records and per end-to-end metric."""
     rows = []
@@ -114,6 +134,7 @@ def compare(base: dict, new: dict, metrics: list[dict]) -> list[dict]:
                          "new_median": n_med,
                          "ratio": n_med / b_med if b_med else float("nan"),
                          "wins": wins, "pairs": len(pairs)})
+            rows[-1]["verdict"] = verdict(rows[-1], spec["bound"])
             if name == RSS_METRIC:
                 rows[-1]["attempted"] = attempted  # base and new medians
     return rows
@@ -123,12 +144,13 @@ def format_rows(base: dict, new: dict, rows: list[dict]) -> str:
     lines = [f"{new['label']} against base {base['label']}",
              f"{'workload':16s} {'metric':16s} {'base median':>12s} "
              f"{'base IQR':>10s} {'new median':>12s} {'new/base':>9s} "
-             f"{'wins':>7s}  better"]
+             f"{'wins':>7s}  {'verdict':10s}  better"]
     for r in rows:
         lines.append(
             f"{r['workload']:16s} {r['metric']:16s} {r['base_median']:12.6g} "
             f"{r['base_spread']:10.4g} {r['new_median']:12.6g} "
-            f"{r['ratio']:9.4f} {r['wins']:3d}/{r['pairs']:<3d}  {r['better']}"
+            f"{r['ratio']:9.4f} {r['wins']:3d}/{r['pairs']:<3d}  "
+            f"{r['verdict']:10s}  {r['better']}"
             + ("  attempted {:g} -> {:g}".format(*r["attempted"])
                if "attempted" in r else ""))
     return "\n".join(lines)
