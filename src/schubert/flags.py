@@ -332,6 +332,14 @@ def nilpotency_index(N: Matrix) -> int:
     return len(_nilpotent_powers(N)[1]) + 1
 
 
+@lru_cache(maxsize=32)
+def _principal_powers(kind: GroupKind) -> tuple[int, tuple]:
+    """:func:`_nilpotent_powers` of :func:`principal_nilpotent`, each power
+    a tuple of int tuples."""
+    D, powers = _nilpotent_powers(principal_nilpotent(kind))
+    return D, tuple(tuple(map(tuple, P)) for P in powers)
+
+
 def exp_translate_flag(kind: GroupKind, t) -> Flag:
     """The flag exp(t * eta) applied to the coordinate flag.
 
@@ -345,14 +353,6 @@ def exp_translate_flag(kind: GroupKind, t) -> Flag:
     return _flag_of(m, *_exp_rows(*_principal_powers(kind), m, t))
 
 
-@lru_cache(maxsize=32)
-def _principal_powers(kind: GroupKind) -> tuple[int, tuple]:
-    """:func:`_nilpotent_powers` of :func:`principal_nilpotent`, each power
-    a tuple of int tuples."""
-    D, powers = _nilpotent_powers(principal_nilpotent(kind))
-    return D, tuple(tuple(map(tuple, P)) for P in powers)
-
-
 def flags_equal(F: Flag, G: Flag) -> bool:
     """Whether two bases present the same flag (equal prefix spans for all i).
 
@@ -362,7 +362,7 @@ def flags_equal(F: Flag, G: Flag) -> bool:
     vanishes.  When both flags are rational the echelon form is
     fraction-free on their ``_rows`` side by side, which scale F and G by
     one nonzero number each; otherwise it runs on the rows of
-    :func:`_integer_rows`, which never set ints beside irrational entries.
+    :func:`_integer_rows`, which never sets ints beside irrational entries.
     """
     if F.ambient_dim != G.ambient_dim:
         raise DimensionMismatch(
