@@ -20,13 +20,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import mul
 
 from .errors import DimensionMismatch, UnsupportedGroup
 from .linalg import (Matrix, _echelon, _exp_rows, _integer_rows,
-                     _nilpotent_powers, _over_common_denominator, _rational,
-                     rank)
+                     _nilpotent_powers, _rational, rank)
 from .poly import PolyQ, _taylor_coefficients
 
 __all__ = [
@@ -128,17 +127,19 @@ class Flag:
 
     @cached_property
     def _rows(self) -> tuple[tuple, ...]:
-        """The rows of :func:`_over_common_denominator`; only read."""
-        return tuple(map(tuple, _over_common_denominator(self.basis._data)[0]))
+        """The rows of :func:`_integer_rows`; only read."""
+        return tuple(map(tuple, _integer_rows(self.basis._data)[0]))
 
 
 def _flag_of(m: int, rows: list[list[int]], den: int) -> Flag:
     """The Flag with basis ``rows / den``, for m x m integer rows, and with
-    ``_rows`` filled in: the rows divided by their gcd, as tuples.  Raises
-    ValueError when the rows are singular, as the public constructor does."""
+    ``_rows`` filled in: the rows divided by the gcd of den and their
+    entries, as tuples, which is what :func:`_integer_rows` makes of the
+    basis.  Raises ValueError when the rows are singular, as the public
+    constructor does."""
     if len(_echelon([row[:] for row in rows], m)[0]) != m:
         raise ValueError("flag basis matrix is singular")
-    g = gcd(*(x for row in rows for x in row))
+    g = gcd(den, *(x for row in rows for x in row))
     if g > 1:
         rows = [[x // g for x in row] for row in rows]
         den //= g
@@ -203,11 +204,11 @@ def curve_point(kind: GroupKind, t) -> Matrix:
 
 
 @lru_cache(maxsize=32)
-def _curve_rows(kind: GroupKind) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Per curve entry, the integer coefficients of :func:`_integer_rows`
-    (lowest degree first) and their denominator."""
-    rows, scales = _integer_rows([p.coeffs for p in curve_polynomials(kind)])
-    return tuple(zip(map(tuple, rows), scales))
+def _curve_rows(kind: GroupKind) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The curve entries' coefficients (lowest degree first) as the integer
+    rows of :func:`_integer_rows`, and their common denominator."""
+    rows, L = _integer_rows([p.coeffs for p in curve_polynomials(kind)])
+    return tuple(map(tuple, rows)), L
 
 
 def osculating_flag(kind: GroupKind, t) -> Flag:
@@ -215,23 +216,21 @@ def osculating_flag(kind: GroupKind, t) -> Flag:
 
     Column i holds the (i-1)-st derivative of the curve; the basis matrix is
     invertible for every t because the curve entries span all polynomials of
-    degree below m.  With t = u/v and curve entry j equal to p_j / D_j for
-    an integer polynomial p_j of degree d_j, its i-th derivative
-    (0-indexed) at t is i! * h_i / (D_j * v^(d_j - i)), where h_i is the
-    i-th integer Taylor coefficient of p_j from
+    degree below m.  With t = u/v and curve entry j equal to p_j / L for
+    an integer polynomial p_j of degree d_j and the common denominator L,
+    its i-th derivative (0-indexed) at t is i! * h_i / (L * v^(d_j - i)),
+    where h_i is the i-th integer Taylor coefficient of p_j from
     :func:`poly._taylor_coefficients`, and 0 for i > d_j.  Over the common
-    denominator L * v^(m-1), with L the lcm of the D_j, that is the integer
-    i! * h_i * (L / D_j) * v^(m-1-d_j+i).
+    denominator L * v^(m-1) that is the integer i! * h_i * v^(m-1-d_j+i).
     """
     t = _rational(t)
     v = t.denominator
     m = kind.ambient_dim
-    curve = _curve_rows(kind)
-    L = lcm(*(scale for _, scale in curve))
+    curve, L = _curve_rows(kind)
     rows = []
-    for ns, scale in curve:
+    for ns in curve:
         d = len(ns) - 1
-        f = L // scale * v ** (m - 1 - d)
+        f = v ** (m - 1 - d)
         row = []
         for i, h in enumerate(_taylor_coefficients(ns, t)):
             row.append(factorial(i) * h * f)
@@ -268,16 +267,16 @@ def is_isotropic_flag(flag: Flag, form: BilinearForm) -> bool:
 
     Equivalently, with P = basis^T * gram * basis, every entry P[a][b] with
     (1-indexed) a + b <= m vanishes.  P is formed from the columns of the
-    flag's ``_rows`` and the Gram matrix as :func:`_over_common_denominator`
-    scales it; nonzero scalings of the basis and of the Gram matrix leave
-    the zero pattern of P unchanged.
+    flag's ``_rows`` and the Gram matrix as :func:`_integer_rows` scales
+    it; nonzero scalings of the basis and of the Gram matrix leave the zero
+    pattern of P unchanged.
     """
     m = flag.ambient_dim
     if form.ambient_dim != m:
         raise DimensionMismatch(
             f"flag in dimension {m}, form in dimension {form.ambient_dim}")
     cols = list(zip(*flag._rows))
-    gram, _ = _over_common_denominator(form.gram.to_rows())
+    gram, _ = _integer_rows(form.gram.to_rows())
     nonzeros = [[(b, g) for b, g in enumerate(row) if g] for row in gram]
     # column j of gram * basis, for the columns some pairing needs
     gcols = [[sum(g * col[b] for b, g in row) for row in nonzeros]

@@ -7,7 +7,8 @@ fraction-free (Bareiss) on integer rows and exact field elimination
 otherwise; ``rref``, ``kernel`` and ``inverse`` add one backward pass on
 the matrix's own scalars.  Whether exact input is scaled to integer rows
 or passed through as irrational is decided in one place,
-:func:`_integer_rows`, for the whole input at once.  The private routines
+:func:`_integer_rows`, for the whole input at once; rational input is
+scaled by its one common denominator.  The private routines
 reduce row lists in place; a :class:`Matrix` is built only where a public
 function returns one.  What counts as an exact rational is decided in one
 place too, :func:`_rational`: every Matrix or PolyQ entry, QuadExt part
@@ -450,31 +451,23 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return Matrix(a, shape=(M.rows, M.cols)), tuple(pivots)
 
 
-def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Each row times the lcm of its denominators, as ints, with those lcms.
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list], int]:
+    """The whole input times D, the lcm of all its denominators, as int
+    rows, and D.
 
     The one place that decides between Z and Q(sqrt(d)): when any entry of
     the whole input is irrational, every row comes back as a copy of itself
-    with scale 1, so that :func:`_echelon` never sees int rows next to
-    irrational ones.  Row scaling keeps the rank and the pivots.
+    and D is 1, so that :func:`_echelon` never sees int rows next to
+    irrational ones.  Scaling by one nonzero D keeps the rank, the pivots
+    and every value up to that one factor.
     """
     if any(type(x) is QuadExt for row in rows for x in row):
         if any(type(x) is QuadExt and x.b for row in rows for x in row):
-            return [list(row) for row in rows], [1] * len(rows)
+            return [list(row) for row in rows], 1
         rows = [[x.a if type(x) is QuadExt else x for x in r] for r in rows]
-    scales = [lcm(*(x.denominator for x in row)) for row in rows]
-    return [[x.numerator * (s // x.denominator) for x in row]
-            for row, s in zip(rows, scales)], scales
-
-
-def _over_common_denominator(rows: Sequence[Sequence]) -> tuple[list[list], int]:
-    """The rows of :func:`_integer_rows`, each brought to the lcm D of their
-    scales, and D: so the rows are D times the input, integral when it is
-    rational; when an entry is irrational, D is 1 and the rows are copies."""
-    rows, scales = _integer_rows(rows)
-    D = lcm(*scales)
-    return [row if s == D else [x * (D // s) for x in row]
-            for row, s in zip(rows, scales)], D
+    D = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (D // x.denominator) for x in row]
+            for row in rows], D
 
 
 def rank(M: Matrix) -> int:
@@ -508,17 +501,17 @@ def inverse(M: Matrix) -> Matrix:
 
 def det(M: Matrix) -> Scalar:
     """The determinant: over Z, the last Bareiss pivot of the rows scaled
-    by :func:`_integer_rows`, divided by the product of the row scales; over
-    Q(sqrt(d)), the signed product of the pivots."""
+    by :func:`_integer_rows`, divided by D ** n for their common
+    denominator D; over Q(sqrt(d)), the signed product of the pivots."""
     if M.rows != M.cols:
         raise ValueError("determinant of a non-square matrix")
     n = M.rows
-    a, scales = _integer_rows(M._data)
+    a, D = _integer_rows(M._data)
     pivots, sign = _echelon(a, n)
     if len(pivots) < n:
         return Fraction(0)
     if n and type(a[-1][-1]) is int:  # the fraction-free path ran
-        return Fraction(sign * a[-1][-1], prod(scales))
+        return Fraction(sign * a[-1][-1], D ** n)
     return prod((a[i][i] for i in range(n)), start=Fraction(sign))
 
 
@@ -526,17 +519,17 @@ def _nilpotent_powers(N: Matrix) -> tuple[int, list[list[list]]]:
     """``(D, [P_1, ..., P_J])`` with ``P_j = (D*N)^j`` as row lists: the
     nonzero powers of D*N, so that N's nilpotency index is J + 1.
 
-    D is the common denominator of :func:`_over_common_denominator`,
-    making every P_j integral; when an entry is irrational, D is 1 and the
-    P_j hold exact scalars.  Each product
-    runs over the nonzeros of D*N's rows, listed once, so a matrix with a
-    bounded number of nonzeros per row costs O(m^2) per power.  Raises
-    NotNilpotent for a non-square N or when ``N^rows != 0``.
+    D is the common denominator of :func:`_integer_rows`, making every
+    P_j integral; when an entry is irrational, D is 1 and the P_j hold
+    exact scalars.  Each product runs over the nonzeros of D*N's rows,
+    listed once, so a matrix with a bounded number of nonzeros per row
+    costs O(m^2) per power.  Raises NotNilpotent for a non-square N or when
+    ``N^rows != 0``.
     """
     if N.rows != N.cols:
         raise NotNilpotent("only square matrices can be nilpotent")
     n = N.rows
-    A, D = _over_common_denominator(N._data)
+    A, D = _integer_rows(N._data)
     nonzeros = [[(c, x) for c, x in enumerate(row) if x] for row in A]
     powers: list[list[list]] = []
     P = A

@@ -60,16 +60,16 @@ class PolyPlane:
     """A k-dimensional space of polynomials of degree < m.
 
     The basis goes through :func:`_integer_rows` once, here: ``_rows`` holds
-    its coefficient rows (lowest degree first, padded to m), each scaled by
-    its entry of ``_scales``.  Neither takes part in equality, hashing or
-    the repr.
+    its coefficient rows (lowest degree first, padded to m), all scaled by
+    their common denominator ``_scale``.  Neither takes part in equality,
+    hashing or the repr.
     """
 
     m: int
     k: int
     basis: tuple[PolyQ, ...]
     _rows: list = field(init=False, repr=False, compare=False)
-    _scales: list = field(init=False, repr=False, compare=False)
+    _scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
@@ -78,12 +78,12 @@ class PolyPlane:
         for p in self.basis:
             if p.degree() >= self.m:
                 raise ValueError(f"degree {p.degree()} is not below m = {self.m}")
-        rows, scales = _integer_rows([p.coeffs for p in self.basis])
+        rows, scale = _integer_rows([p.coeffs for p in self.basis])
         rows = [row + [0] * (self.m - len(row)) for row in rows]
         if len(_echelon([list(row) for row in rows], self.m)[0]) != self.k:
             raise ValueError("basis polynomials are linearly dependent")
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_scales", scales)
+        object.__setattr__(self, "_scale", scale)
 
 
 @lru_cache(maxsize=8)
@@ -115,17 +115,16 @@ def wronskian(plane: PolyPlane) -> PolyQ:
 
     Nonzero for any plane, of degree at most k*(m-k) after the forced factor
     structure; invariant up to scale under change of basis.  By Cauchy-Binet
-    on W = det(A M(t)), with A the plane's k x m scaled coefficient rows
-    (integers unless the plane is irrational) and M(t)[j][b] the b-th
-    derivative of t^j,
+    on W = det(A M(t)), with A the plane's k x m coefficient rows scaled by
+    its common denominator D (integers unless the plane is irrational) and
+    M(t)[j][b] the b-th derivative of t^j,
 
-        prod(scales) * W(t) = sum over k-subsets S of columns of
+        D^k * W(t) = sum over k-subsets S of columns of
             Delta_S(A) * prod_{a < b in S} (b - a) * t^(sum(S) - k(k-1)/2).
 
     The maximal minors Delta_S come from one pass over the rows, each
     expanding the minors of the rows before it along itself; zero entries
-    and zero minors are skipped.  The sum is divided once by the product of
-    the scales.
+    and zero minors are skipped.  The sum is divided once by D^k.
     """
     k, m = plane.k, plane.m
     steps, terms = _cauchy_binet_table(k, m)
@@ -144,7 +143,7 @@ def wronskian(plane: PolyPlane) -> PolyQ:
     for minor, (e, weight) in zip(minors, terms):
         if minor:
             out[e] += weight * minor
-    scale = Fraction(prod(plane._scales))
+    scale = Fraction(plane._scale ** k)
     return PolyQ([c / scale for c in out])
 
 

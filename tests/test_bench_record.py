@@ -36,6 +36,57 @@ def test_parse_run_reads_environment_and_final_line():
     assert result["attempted"] == 5
 
 
+def test_parse_digest_reads_the_digest_line():
+    stdout = ("workload eh_check, seed 1, trace 0\n"
+              'environment: {"python": "3.11.7", "nproc": 2}\n'
+              "digest of the first 24 ops: 2909f869\n"
+              '{"correct": true, "attempted": 5, "failed": 0, "metrics": {}}\n')
+    assert bench_record.parse_digest(stdout) == "2909f869"
+    assert bench_record.parse_digest(stdout.replace("digest", "hash")) is None
+    rec = bench_record.record("x", 25)
+    bench_record.add_run(rec, "eh_check", 1, ENV, {}, "2909f869")
+    assert rec["runs"][0]["digest"] == "2909f869"
+
+
+def _with_digests(rec, digests):
+    for run, digest in zip(rec["runs"], digests):
+        run["digest"] = digest
+    return rec
+
+
+def _digest_records(base_digests, new_digests):
+    runs = [("eh_check", s, 100.0, 30.0) for s in (1, 2, 3)]
+    base = _with_digests(_record("base", runs), base_digests)
+    # the new record lists its seeds in another order
+    new = _with_digests(_record("new", runs[::-1]), new_digests[::-1])
+    return bench_record.compare_digests(base, new)
+
+
+def test_compare_digests_equal():
+    rows = _digest_records(["a", "b", "c"], ["a", "b", "c"])
+    assert rows == [{"workload": "eh_check", "pairs": 3, "equal": 3}]
+    assert bench_record.format_digests(rows) == (
+        f"{'eh_check':16s} {'digests':16s} 3/3 seed pairs equal")
+
+
+def test_compare_digests_flags_a_mismatch():
+    rows = _digest_records(["a", "b", "c"], ["a", "x", "c"])
+    assert rows == [{"workload": "eh_check", "pairs": 3, "equal": 2}]
+    assert bench_record.format_digests(rows).endswith(
+        "2/3 seed pairs equal  MISMATCH")
+
+
+def test_compare_digests_of_older_records_read_n_a():
+    base = _record("base", [("eh_check", 1, 100.0, 30.0),
+                            ("four_lines", 1, 10.0, 27.0)])
+    for run in base["runs"]:
+        del run["digest"]  # a record made before digests were kept
+    new = _with_digests(_record("new", [("eh_check", 1, 100.0, 30.0)]), ["a"])
+    rows = bench_record.compare_digests(base, new)
+    assert rows == [{"workload": "eh_check", "pairs": 0, "equal": 0}]
+    assert bench_record.format_digests(rows).endswith("digests          n/a")
+
+
 def test_compare_pairs_runs_by_seed():
     base = _record("base", [("eh_check", 1, 100.0, 30.0),
                             ("eh_check", 2, 110.0, 31.0),

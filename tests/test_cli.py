@@ -11,6 +11,7 @@ import pytest
 
 from schubert import cli
 from schubert.cli import main
+from schubert.wronski import EHReport
 
 
 def run_cli(capsys, *argv):
@@ -218,6 +219,41 @@ def test_solve_four_lines_rejects_an_option_its_mode_ignores(capsys):
     code, data = run_json(capsys, "solve-four-lines", "--osculating",
                           "--points", "0,1,2,3", "--seed", "5")
     assert code == 2 and "--seed" in data["error"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve-four-lines", "--osculating"], "--osculating requires --points"),
+    (["solve-four-lines", "--osculating", "--points", "0,1,2"],
+     "--points needs exactly four rational values"),
+    (["pad", "--k", "2", "--m", "4", "--condition", "1,3"],
+     "condition must look like 'i1,i2,...@point': '1,3'"),
+], ids=["osculating-without-points", "three-points", "condition-without-point"])
+def test_argument_errors_exit_2(capsys, argv, message):
+    code, data = run_json(capsys, *argv)
+    assert code == 2
+    assert data == {"error": message, "error_type": "ValueError"}
+
+
+def test_dim_report_index_conditions_need_one_step(capsys, tmp_path):
+    path = tmp_path / "two_step.json"
+    path.write_text(json.dumps({"ambient": {"m": 5, "dims": [2, 3]},
+                                "conditions": [{"indices": [2, 4]}]}))
+    code, data = run_json(capsys, "dim-report", str(path))
+    assert code == 2
+    assert data == {"error": "index conditions need a single-step ambient",
+                    "error_type": "ValueError"}
+
+
+def test_eh_check_exits_1_on_a_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_eh_report",
+                        lambda plane, W, t: EHReport(1, 2, False))
+    code, data = run_json(capsys, "eh-check", "--k", "2", "--m", "4",
+                          "--samples", "2", "--points", "0,1/2")
+    assert code == 1
+    assert data["all_equal"] is False and data["checked"] == 4
+    assert data["failures"] == [
+        {"sample": s, "t": t, "codim": 1, "wronski_order": 2}
+        for s in range(2) for t in ("0", "1/2")]
 
 
 def test_eh_check(capsys):

@@ -121,6 +121,25 @@ def test_bilinear_form_validates_symmetry():
         BilinearForm("symmetric", Matrix([[1, 1], [1, 1]]))  # degenerate
 
 
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: Flag(2, Matrix([[1, 2], [2, 4]])), ValueError, "singular"),
+    (lambda: Flag(2, Matrix([[1, 0, 0], [0, 1, 0]])), DimensionMismatch,
+     "must be 2x2"),
+    (lambda: BilinearForm("hermitian", Matrix.identity(2)), ValueError,
+     "unknown form kind"),
+    (lambda: BilinearForm("symmetric", Matrix([[1, 0, 0], [0, 1, 0]])),
+     DimensionMismatch, "square"),
+    (lambda: exp_translate_flag(GroupKind.so_even(2), F(1)), UnsupportedGroup,
+     "no attached flag family"),
+    (lambda: random_isotropic_flag(GroupKind.sl(3), 1), UnsupportedGroup,
+     "no isotropic flags"),
+], ids=["singular-flag", "non-square-flag", "unknown-form-kind",
+        "non-square-gram", "exp-translate-so-even", "random-isotropic-sl"])
+def test_flag_layer_errors(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_coordinate_flag_isotropic_for_sp4():
     assert is_isotropic_flag(Flag.coordinate(4), gram_matrix(GroupKind.sp(2)))
 

@@ -24,7 +24,8 @@ from schubert.flags import (Flag, GroupKind, _flag_of, curve_polynomials,
                             is_isotropic_flag, nilpotency_index,
                             osculating_flag, principal_nilpotent,
                             random_isotropic_flag)
-from schubert.linalg import Matrix, QuadExt, exp_nilpotent, inverse, rank
+from schubert.linalg import (Matrix, QuadExt, _integer_rows, exp_nilpotent,
+                             inverse, rank)
 
 F = Fraction
 T_VALUES = [F(0), F(1), F(-2), F(3, 4), F(-5, 3)]
@@ -311,6 +312,26 @@ def test_flag_of_refuses_singular_rows():
     for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
         with pytest.raises(ValueError, match="singular"):
             _flag_of(len(rows), rows, 3)
+
+
+@pytest.mark.parametrize("rows, den, want", [
+    ([[2, 0], [0, 2]], 3, [[F(2, 3), 0], [0, F(2, 3)]]),
+    ([[4, 2], [0, 6]], 9, [[F(4, 9), F(2, 9)], [0, F(2, 3)]]),
+])
+def test_flag_of_keeps_the_basis(rows, den, want):
+    # the gcd of the entries need not divide den; dividing den by it anyway
+    # would change the basis
+    flag = _flag_of(2, rows, den)
+    assert flag.basis == Matrix(want)
+    assert [list(r) for r in flag._rows] == _integer_rows(flag.basis._data)[0]
+
+
+def test_constructed_rows_are_the_integer_rows_of_the_basis():
+    for kind in FLAG_KINDS:
+        for t in T_VALUES:
+            for flag in (osculating_flag(kind, t), exp_translate_flag(kind, t)):
+                want = _integer_rows(flag.basis._data)[0]
+                assert [list(r) for r in flag._rows] == want, (kind, t)
 
 
 def test_mixed_field_pairs_match_references():

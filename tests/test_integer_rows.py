@@ -33,8 +33,8 @@ def test_one_irrational_row_keeps_every_row():
     s2 = QuadExt(F(1, 3), F(2), 2)
     rows = RATIONAL_ROWS + [[F(2), s2, F(0), F(-1, 4)]]
     M = Matrix(rows)
-    out, scales = _integer_rows(M.to_rows())
-    assert out == rows and scales == [1, 1, 1, 1]
+    out, D = _integer_rows(M.to_rows())
+    assert out == rows and D == 1
     ref = _dm(M, 2)
     assert rank(M) == ref.rank() == 4
     assert _to_sympy(det(M), 2) == ref.det()
@@ -47,10 +47,10 @@ def test_rational_quadext_entries_are_scaled():
     rows = [[QuadExt(x) for x in row] for row in RATIONAL_ROWS]
     rows.append([QuadExt(F(1, 5), F(0), 2), F(1), F(0), QuadExt(F(2))])
     M = Matrix(rows)
-    out, scales = _integer_rows(M.to_rows())
-    assert scales == [6, 7, 2, 5]
+    out, D = _integer_rows(M.to_rows())
+    assert D == 210
     assert all(type(x) is int for row in out for x in row)
-    assert [[F(x, s) for x in row] for row, s in zip(out, scales)] == rows
+    assert [[F(x, D) for x in row] for row in out] == rows
     ref = _dm(M, None)
     assert rank(M) == ref.rank() == 4
     assert _to_sympy(det(M), None) == ref.det()

@@ -60,6 +60,12 @@ def test_scalar_from_json_needs_an_integer_d(d):
         jsonio.scalar_from_json({"a": "1", "b": "1", "d": d})
 
 
+@pytest.mark.parametrize("v", [[1], None, 1.5])
+def test_scalar_from_json_rejects_other_types(v):
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        jsonio.scalar_from_json(v)
+
+
 def test_quadext_wire_format():
     enc = jsonio.scalar_to_json(QuadExt(F(1, 2), F(2), 13))
     assert enc == {"a": "1/2", "b": "2", "d": 13}

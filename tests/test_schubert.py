@@ -122,6 +122,30 @@ def test_membership_dimension_mismatch():
                    Flag.coordinate(5))
 
 
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: SchubertCondition(3, 2, (1, 2, 3)), ValueError,
+     "need 1 <= k <= m"),
+    (lambda: GrPoint(Matrix.from_columns([[1, 0, 0, 0], [2, 0, 0, 0]])),
+     ValueError, "linearly dependent"),
+    (lambda: membership(_coord_point(4, (0,)), SchubertCondition(2, 4, (2, 4)),
+                        Flag.coordinate(4)), DimensionMismatch,
+     "condition needs k=2"),
+    (lambda: pad_to_zero_dimensional([(iota(2, 4), F(0)), (iota(2, 5), F(1))],
+                                     [F(2)]), DimensionMismatch,
+     "different Grassmannians"),
+    (lambda: pad_to_zero_dimensional([(iota(2, 4), F(0))],
+                                     [F(1), F(1), F(2)]), ValueError,
+     "pairwise distinct"),
+    (lambda: flag_manifold_dim((0, 2), 4), ValueError, "strictly between"),
+    (lambda: flag_manifold_dim((1, 4), 4), ValueError, "strictly between"),
+    (lambda: flag_manifold_dim((2, 1), 4), ValueError, "increase strictly"),
+], ids=["k-above-m", "dependent-columns", "k-disagrees", "two-grassmannians",
+        "repeated-fresh-points", "dim-zero", "dim-m", "dims-decrease"])
+def test_geometry_errors(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_membership_basis_invariant():
     rng = random.Random(21)
     flag = _random_flag(4, rng)

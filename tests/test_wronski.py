@@ -190,6 +190,15 @@ def test_wronski_solver_repeated_root():
         wronski_solver_gr24([F(0), F(1), F(2), F(2)])
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: PolyPlane(4, 0, ()), "k >= 1"),
+    (lambda: wronski_solver_gr24([F(0), F(1), F(2)]), "exactly four"),
+], ids=["empty-plane", "three-points"])
+def test_plane_and_solver_reject_bad_sizes(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_cross_solver_agreement():
     points = [F(0), F(1), F(2), F(3)]
     planes = wronski_solver_gr24(points)

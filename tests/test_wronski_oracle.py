@@ -13,7 +13,6 @@ k x k grid of derivatives that it replaced, for every 1 <= k <= m <= 8.
 import random
 from dataclasses import fields
 from fractions import Fraction
-from math import prod
 
 import pytest
 
@@ -124,11 +123,11 @@ def _poly_det(grid):
 def _grid_wronskian(plane):
     # the expansion `wronskian` replaced: row a of the grid holds the a-th
     # derivatives of the scaled basis rows, and the determinant is divided
-    # by the product of the scales
+    # by the k-th power of their common scale
     grid = [plane._rows]
     for _ in range(plane.k - 1):
         grid.append([[j * c for j, c in enumerate(cs)][1:] for cs in grid[-1]])
-    return PolyQ([c / F(prod(plane._scales)) for c in _poly_det(grid)])
+    return PolyQ([c / F(plane._scale ** plane.k) for c in _poly_det(grid)])
 
 
 def test_wronskian_matches_derivative_grid():
@@ -242,11 +241,11 @@ def test_vanishing_order_matches_divide_linear():
 def test_plane_identity_ignores_scaled_rows():
     plane = _sqrt13_plane()
     private = {f.name for f in fields(PolyPlane) if f.name.startswith("_")}
-    assert private == {"_rows", "_scales"}
+    assert private == {"_rows", "_scale"}
     for p in _seeded_planes() + [plane]:
         twin = PolyPlane(p.m, p.k, list(p.basis))
         object.__setattr__(twin, "_rows", [[0] * p.m] * p.k)
-        object.__setattr__(twin, "_scales", [7] * p.k)
+        object.__setattr__(twin, "_scale", 7)
         assert twin == p and hash(twin) == hash(p)
         assert repr(twin) == repr(p) == (
             f"PolyPlane(m={p.m}, k={p.k}, basis={p.basis!r})")

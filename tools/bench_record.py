@@ -8,9 +8,10 @@
 Recording runs ``python3 perfbench/run.py --workload W --seed N --seconds S
 --trace 0`` of this checkout as it stands, once per workload and seed, and
 writes ``BENCH_<label>.json`` at the root of this repository: the
-environment line of the runs (Python, platform, git revision, nproc) and
-each run's final JSON line.  The workloads and the run length S come from
-``BENCHMARK.json``; ``--workloads`` picks a subset of them.  With
+environment line of the runs (Python, platform, git revision, nproc) and,
+per run, the digest of its first ops' outputs and its final JSON line.
+The workloads and the run length S come from ``BENCHMARK.json``;
+``--workloads`` picks a subset of them.  With
 ``--base-checkout`` every run is paired with the same run of that checkout,
 the two alternating which goes first, and the base runs go to
 ``BENCH_<base-label>.json``.
@@ -20,7 +21,10 @@ the two alternating which goes first, and the base runs go to
 their ratio, how many runs paired by seed the new record wins, and a
 verdict (see :func:`verdict`).  The ``max_rss_mb`` line also shows both
 records' median ``attempted`` op counts: RSS that follows the op count is
-not memory the code holds.
+not memory the code holds.  Below the table, one line per workload counts
+the runs paired by seed whose output digests are equal, marks a mismatch,
+and reads ``n/a`` when a record has no digests (records made before they
+were kept).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV_PREFIX = "environment: "
+DIGEST_PREFIX = "digest of the first "
 RSS_METRIC = "max_rss_mb"
 
 
@@ -45,14 +50,22 @@ def parse_run(stdout: str) -> tuple[dict, dict]:
     return env, json.loads(lines[-1])
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def parse_digest(stdout: str) -> str | None:
+    """The value of the run's ``digest of the first N ops:`` line."""
+    return next((line.rsplit(": ", 1)[1] for line in stdout.splitlines()
+                 if line.startswith(DIGEST_PREFIX)), None)
+
+
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> tuple[dict, str | None, dict]:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if done.returncode:
         raise SystemExit(f"{' '.join(argv[1:])} in {checkout} exited "
                          f"{done.returncode}:\n{done.stderr}")
-    return parse_run(done.stdout)
+    env, result = parse_run(done.stdout)
+    return env, parse_digest(done.stdout), result
 
 
 def record(label: str, seconds: float) -> dict:
@@ -62,13 +75,15 @@ def record(label: str, seconds: float) -> dict:
             "environment": None, "runs": []}
 
 
-def add_run(rec: dict, workload: str, seed: int, env: dict, result: dict) -> None:
+def add_run(rec: dict, workload: str, seed: int, env: dict, result: dict,
+            digest: str | None = None) -> None:
     if rec["environment"] is None:
         rec["environment"] = env
     elif env != rec["environment"]:
         raise SystemExit(f"{rec['label']}: the environment changed between "
                          f"runs: {rec['environment']} then {env}")
-    rec["runs"].append({"workload": workload, "seed": seed, "result": result})
+    rec["runs"].append({"workload": workload, "seed": seed, "digest": digest,
+                        "result": result})
 
 
 def benchmark_spec() -> dict:
@@ -140,6 +155,32 @@ def compare(base: dict, new: dict, metrics: list[dict]) -> list[dict]:
     return rows
 
 
+def compare_digests(base: dict, new: dict) -> list[dict]:
+    """Per workload with runs in both records: how many runs paired by seed
+    have equal digests, out of the pairs with a digest on both sides."""
+    rows = []
+    for workload in dict.fromkeys(r["workload"] for r in base["runs"]):
+        b, n = ({run["seed"]: run.get("digest") for run in rec["runs"]
+                 if run["workload"] == workload} for rec in (base, new))
+        if not n:
+            continue
+        pairs = [(b[seed], n[seed]) for seed in b
+                 if seed in n and b[seed] and n[seed]]
+        rows.append({"workload": workload, "pairs": len(pairs),
+                     "equal": sum(x == y for x, y in pairs)})
+    return rows
+
+
+def format_digests(rows: list[dict]) -> str:
+    lines = []
+    for r in rows:
+        status = (f"{r['equal']}/{r['pairs']} seed pairs equal"
+                  + ("  MISMATCH" if r["equal"] < r["pairs"] else "")
+                  if r["pairs"] else "n/a")
+        lines.append(f"{r['workload']:16s} {'digests':16s} {status}")
+    return "\n".join(lines)
+
+
 def format_rows(base: dict, new: dict, rows: list[dict]) -> str:
     lines = [f"{new['label']} against base {base['label']}",
              f"{'workload':16s} {'metric':16s} {'base median':>12s} "
@@ -178,6 +219,7 @@ def main(argv=None) -> int:
         base, new = (json.loads(Path(p).read_text(encoding="utf-8"))
                      for p in args.compare)
         print(format_rows(base, new, compare(base, new, spec["end_to_end"])))
+        print(format_digests(compare_digests(base, new)))
         return 0
     if not args.label or (args.base_checkout is None) != (args.base_label is None):
         parser.error("recording needs --label, and --base-label exactly "
@@ -203,8 +245,8 @@ def main(argv=None) -> int:
     for i, seed in enumerate(seeds):
         for workload in workloads:
             for checkout, rec in sides[::-1] if i % 2 else sides:
-                env, result = run_once(checkout, workload, seed, seconds)
-                add_run(rec, workload, seed, env, result)
+                env, digest, result = run_once(checkout, workload, seed, seconds)
+                add_run(rec, workload, seed, env, result, digest)
                 path = _write(rec)  # after every run, so a cut run keeps its data
                 print(f"{path.name}: {workload} seed {seed}, "
                       f"{result['metrics']['ops_per_s']['value']:.4g} ops/s",
