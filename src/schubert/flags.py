@@ -25,7 +25,7 @@ from operator import mul
 
 from .errors import DimensionMismatch, UnsupportedGroup
 from .linalg import (Matrix, _echelon, _exp_rows, _integer_rows,
-                     _nilpotent_powers, _rational, rank)
+                     _nilpotent_powers, _rational, _require_ints, rank)
 from .poly import PolyQ, _taylor_coefficients
 
 __all__ = [
@@ -57,8 +57,7 @@ class GroupKind:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"unknown group tag {self.tag!r}")
-        if type(self.param) is not int:
-            raise TypeError(f"the group parameter must be an int, got {self.param!r}")
+        _require_ints("the group parameter", self.param)
         low = 2 if self.tag == "SL" else 1
         if self.param < low:
             raise ValueError(f"{self.tag} needs parameter >= {low}")
@@ -109,8 +108,7 @@ class Flag:
 
     def __post_init__(self):
         m = self.ambient_dim
-        if type(m) is not int:
-            raise TypeError(f"the ambient dimension must be an int, got {m!r}")
+        _require_ints("the ambient dimension", m)
         if self.basis.rows != m or self.basis.cols != m:
             raise DimensionMismatch(
                 f"flag basis must be {m}x{m}, got {self.basis.rows}x{self.basis.cols}")

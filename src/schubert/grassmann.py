@@ -22,7 +22,7 @@ every j, and lies in the open cell iff p = I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -30,8 +30,8 @@ from typing import Iterable, Sequence
 from .errors import (DegenerateConfiguration, DimensionMismatch, InfinitelyMany,
                      NegativeExpectedDimension, NotInCellInterior, NotMember)
 from .flags import Flag
-from .linalg import (Matrix, _echelon, _integer_rows, _rational, _rref_rows,
-                     det, rank, simplify_matrix, solve_quadratic)
+from .linalg import (Matrix, _echelon, _integer_rows, _rational, _require_ints,
+                     _rref_rows, det, rank, simplify_matrix, solve_quadratic)
 
 __all__ = [
     "SchubertCondition",
@@ -53,12 +53,6 @@ __all__ = [
     "ExpectedDimReport",
     "condition_codim",
 ]
-
-
-def _require_ints(what: str, *values) -> None:
-    """Raise TypeError unless every value is an int (not a bool): a size."""
-    if not all(type(x) is int for x in values):
-        raise TypeError(f"{what}: expected ints, not bools, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +84,7 @@ def codim(cond: SchubertCondition) -> int:
 
 def iota(k: int, m: int) -> SchubertCondition:
     """The unique codimension-one condition (m-k, m-k+2, m-k+3, ..., m)."""
+    _require_ints("k and m", k, m)
     if not 1 <= k < m:
         raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
     return SchubertCondition(k, m, (m - k,) + tuple(range(m - k + 2, m + 1)))
@@ -97,13 +92,24 @@ def iota(k: int, m: int) -> SchubertCondition:
 
 @dataclass(frozen=True)
 class GrPoint:
-    """A point of Gr(k, m): an m x k basis matrix of full column rank."""
+    """A point of Gr(k, m): an m x k basis matrix of full column rank.
+
+    The rank is read from one echelon form of the basis columns, whose
+    non-pivot columns, the standard basis vectors completing V, are kept
+    as ``_complement``; it takes no part in equality, hashing or the repr.
+    """
 
     basis: Matrix
+    _complement: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if rank(self.basis) != self.basis.cols:
+        k, m = self.basis.cols, self.basis.rows
+        vt, _ = _integer_rows([self.basis.column(a) for a in range(k)])
+        pivots, _ = _echelon(vt, m)
+        if len(pivots) != k:
             raise ValueError("basis columns are linearly dependent")
+        object.__setattr__(self, "_complement",
+                           tuple(c for c in range(m) if c not in pivots))
 
     @property
     def ambient_dim(self) -> int:
@@ -127,7 +133,7 @@ def _position(V: GrPoint, F: Flag):
     """Jump rows and adapted basis of V relative to F, from echelon forms.
 
     ``_rref_rows`` reduces the row list [F | V | W], W the standard columns
-    completing V (rows of V off the pivots of an echelon form of V^T), to
+    completing V (``V._complement``), to
     [I | C | X] with C = F^-1 V and X = F^-1 W.  The rows of the rref of
     [C^T with its columns reversed | I_k] are c_a followed by alpha_a: c_a,
     read bottom-up, has its last nonzero entry c_a[p_a] = 1 and is zero at
@@ -135,10 +141,8 @@ def _position(V: GrPoint, F: Flag):
     p_1 < ... < p_k, the columns c_a each followed by alpha_a, and X's rows.
     """
     k, m = V.k, V.ambient_dim
-    vt, _ = _integer_rows([V.basis.column(a) for a in range(k)])
-    pivots, _ = _echelon(vt, m)
-    w = [c for c in range(m) if c not in pivots]
-    R = [[*F.basis.row(r), *V.basis.row(r), *(Fraction(r == c) for c in w)]
+    R = [[*F.basis.row(r), *V.basis.row(r),
+          *(Fraction(r == c) for c in V._complement)]
          for r in range(m)]
     _rref_rows(R, 2 * m)
     # row a: column a of C, bottom row first, then e_a to track alpha_a

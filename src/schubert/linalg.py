@@ -13,7 +13,9 @@ reduce row lists in place; a :class:`Matrix` is built only where a public
 function returns one.  What counts as an exact rational is decided in one
 place too, :func:`_rational`: every Matrix or PolyQ entry, QuadExt part
 and rational parameter of the package goes through it, and a float, str
-or bool raises TypeError.  A QuadExt is normalized once, in ``__init__``.
+or bool raises TypeError.  Beside it, :func:`_require_ints` is the one
+test of a size: every size a public entry point takes is an int, not a
+bool.  A QuadExt is normalized once, in ``__init__``.
 """
 
 from __future__ import annotations
@@ -115,6 +117,13 @@ def _rational(x) -> Fraction:
     raise TypeError(f"expected an exact rational (int or Fraction), got {x!r}")
 
 
+def _require_ints(what: str, *values) -> None:
+    """The one test of a size: raise TypeError unless every value is an int
+    (not a bool)."""
+    if not all(type(x) is int for x in values):
+        raise TypeError(f"{what}: expected ints, not bools, got {values!r}")
+
+
 class QuadExt:
     """An element ``a + b*sqrt(d)`` of the quadratic field Q(sqrt(d)).
 
@@ -132,8 +141,7 @@ class QuadExt:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a=0, b=0, d: int = 1):
-        if type(d) is not int:
-            raise TypeError(f"QuadExt needs an int d, got {d!r}")
+        _require_ints("QuadExt's d", d)
         a, b = _rational(a), _rational(b)
         s, d = square_split(d) if b else (0, 0)
         b *= s
@@ -262,6 +270,7 @@ class Matrix:
             c = len(data[0]) if r else 0
         else:
             r, c = shape
+            _require_ints("the shape", r, c)
             if len(data) != r:
                 raise ValueError("row count does not match declared shape")
         for row in data:
@@ -274,6 +283,7 @@ class Matrix:
     # -- construction --------------------------------------------------------
     @classmethod
     def identity(cls, n: int) -> "Matrix":
+        _require_ints("the size", n)
         return cls([[Fraction(i == j) for j in range(n)] for i in range(n)],
                    shape=(n, n))
 
@@ -283,6 +293,7 @@ class Matrix:
             if not cols:
                 raise ValueError("cannot infer row count from zero columns")
             rows = len(cols[0])
+        _require_ints("the row count", rows)
         for col in cols:
             if len(col) != rows:
                 raise ValueError("ragged columns")

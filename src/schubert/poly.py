@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .linalg import Scalar, _coerce
+from .linalg import Scalar, _coerce, _require_ints
 
 __all__ = ["PolyQ"]
 
@@ -62,6 +62,7 @@ class PolyQ:
 
     @classmethod
     def monomial(cls, power: int, coeff=1) -> "PolyQ":
+        _require_ints("the power", power)
         return cls((0,) * power + (coeff,))
 
     @property

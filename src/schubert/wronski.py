@@ -37,7 +37,7 @@ from math import comb, prod
 
 from .errors import DegenerateConfiguration, ZeroPolynomial
 from .grassmann import GrPoint, SchubertCondition, codim
-from .linalg import (Matrix, _echelon, _integer_rows, _rational,
+from .linalg import (Matrix, _echelon, _integer_rows, _rational, _require_ints,
                      simplify_scalar, solve_quadratic)
 from .poly import PolyQ, _taylor_coefficients
 
@@ -73,6 +73,7 @@ class PolyPlane:
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
+        _require_ints("m and k", self.m, self.k)
         if self.k < 1 or len(self.basis) != self.k:
             raise ValueError("basis size must equal k >= 1")
         for p in self.basis:
@@ -256,7 +257,11 @@ def wronski_solver_gr24(roots) -> list[PolyPlane]:
 
 
 def random_plane(k: int, m: int, rng: random.Random) -> PolyPlane:
-    """A seeded random k-plane of polynomials of degree < m."""
+    """A seeded random k-plane of polynomials of degree < m; raises
+    ValueError unless 1 <= k <= m, before the first draw."""
+    _require_ints("k and m", k, m)
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     while True:
         polys = tuple(
             PolyQ([Fraction(rng.randint(-9, 9), rng.randint(1, 9))

@@ -190,3 +190,28 @@ def test_compare_verdict_on_a_lower_is_better_metric():
     assert rows["ops_per_s"]["verdict"] == "ok"
     assert _ten_pairs(SPREAD, SPREAD, new_rss=32.5)["max_rss_mb"]["verdict"] == "ok"
     assert _ten_pairs(SPREAD, SPREAD, new_rss=25.0)["max_rss_mb"]["verdict"] == "gain"
+
+
+
+WIDE = [60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0, 130.0, 140.0, 150.0]
+
+
+@pytest.mark.parametrize("base_ops, new_ops, last_digest, code, want", [
+    (SPREAD, SPREAD, "a", 0, "ok"),
+    (SPREAD, [x * 0.7 for x in SPREAD], "a", 1, "regression"),
+    (SPREAD, SPREAD, "b", 1, "MISMATCH"),
+    (WIDE, [x + 5 for x in WIDE], "a", 0, "unresolved"),
+], ids=["ok", "regression", "mismatch", "unresolved"])
+def test_compare_exit_code(tmp_path, monkeypatch, capsys, base_ops, new_ops,
+                           last_digest, code, want):
+    monkeypatch.setattr(bench_record, "benchmark_spec",
+                        lambda: {"end_to_end": METRICS})
+    paths = []
+    for label, ops, last in (("base", base_ops, "a"), ("new", new_ops, last_digest)):
+        rec = _with_digests(_record(label, [("eh_check", s, x, 30.0)
+                                            for s, x in enumerate(ops, 1)]),
+                            ["a"] * 9 + [last])
+        paths.append(tmp_path / f"{label}.json")
+        paths[-1].write_text(bench_record.json.dumps(rec), encoding="utf-8")
+    assert bench_record.main(["--compare", *map(str, paths)]) == code
+    assert want in capsys.readouterr().out

@@ -1,27 +1,32 @@
-"""One rule for what an exact rational is: ``linalg._rational``.
+"""One rule for what an exact rational is, ``linalg._rational``, and one
+for what a size is, ``linalg._require_ints``.
 
 Every public entry point that reads a rational parameter, every ``Matrix``
 and ``PolyQ`` entry and both parts of a ``QuadExt`` take an int or a
-Fraction and raise TypeError for a float, a str or a bool; sizes of
-conditions, permutation conditions, groups, flags, flag manifolds and
-ambient dimensions are ints that are not bools.
+Fraction and raise TypeError for a float, a str or a bool.  Every size a
+public entry point takes (of conditions, permutation conditions, groups,
+flags, flag manifolds, ambient dimensions, matrices, monomials,
+polynomial planes and ``QuadExt``'s d) is an int that is not a bool, or
+the size gate raises its TypeError.
 """
 
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from schubert.flags import (Flag, GroupKind, curve_point, exp_translate_flag,
                             osculating_flag, principal_nilpotent)
 from schubert.grassmann import (PermCondition, SchubertCondition, codim,
-                                expected_dim_report, flag_manifold_dim,
+                                expected_dim_report, flag_manifold_dim, iota,
                                 pad_to_zero_dimensional)
 from schubert.jsonio import rational_to_str
 from schubert.linalg import Matrix, QuadExt, exp_nilpotent, solve_quadratic
 from schubert.poly import PolyQ
 from schubert.wronski import (PolyPlane, check_eh_identity, plane_vanishing_orders,
-                              ramification_condition, vanishing_order,
-                              wronski_solver_gr24)
+                              ramification_condition, random_plane,
+                              vanishing_order, wronski_solver_gr24)
 
 SP4 = GroupKind.sp(2)
 PLANE = PolyPlane(4, 2, (PolyQ([0, 0, 1]), PolyQ([-8, 0, 0, 1])))
@@ -85,6 +90,27 @@ def test_exact_entries_pass_through_unchanged():
     assert type(M[0, 2]) is Fraction
 
 
+# entry point -> a call with the size n in one place; each is run with
+# n = 2.0 and n = True
+SIZED_ENTRY_POINTS = {
+    "Matrix shape rows": lambda n: Matrix([[1, 2], [3, 4]], shape=(n, 2)),
+    "Matrix shape cols": lambda n: Matrix([[1, 2], [3, 4]], shape=(2, n)),
+    "Matrix.identity": Matrix.identity,
+    "Matrix.from_columns rows":
+        lambda n: Matrix.from_columns([[1, 0], [0, 1]], rows=n),
+    "PolyQ.monomial": PolyQ.monomial,
+    "iota k": lambda n: iota(n, 4),
+    "iota m": lambda n: iota(1, n),
+    "PolyPlane m": lambda n: PolyPlane(n, 1, (PolyQ([1]),)),
+    "PolyPlane k": lambda n: PolyPlane(4, n, PLANE.basis),
+    "random_plane k": lambda n: random_plane(n, 4, random.Random(1)),
+    "random_plane m": lambda n: random_plane(1, n, random.Random(1)),
+}
+SIZED_CASES = [(partial(build, bad), f"{name} {bad!r}")
+               for name, build in SIZED_ENTRY_POINTS.items()
+               for bad in (2.0, True)]
+
+
 @pytest.mark.parametrize("build", [
     lambda: codim(SchubertCondition(2, 4.5, (1, 3))),
     lambda: SchubertCondition(2, 4, (1.0, 3)),
@@ -101,13 +127,16 @@ def test_exact_entries_pass_through_unchanged():
     lambda: PermCondition(4.0, (1, 2, 3, 4), ()),
     lambda: PermCondition(2, (1.0, 2), ()),
     lambda: PermCondition(2, (True, 2), ()),
+    lambda: QuadExt(1, 1, 2.0),
+    *(build for build, _ in SIZED_CASES),
 ], ids=["condition m", "condition index", "condition k", "group param float",
         "group param bool", "flag ambient_dim", "flag manifold m float",
         "flag manifold dim bool", "flag manifold dim float",
         "expected dim float", "expected dim bool", "perm descent float",
-        "perm m float", "perm entry float", "perm entry bool"])
+        "perm m float", "perm entry float", "perm entry bool",
+        "QuadExt d float", *(name for _, name in SIZED_CASES)])
 def test_sizes_must_be_ints(build):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="expected ints"):
         build()
 
 

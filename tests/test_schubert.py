@@ -126,7 +126,7 @@ def test_membership_dimension_mismatch():
     (lambda: SchubertCondition(3, 2, (1, 2, 3)), ValueError,
      "need 1 <= k <= m"),
     (lambda: GrPoint(Matrix.from_columns([[1, 0, 0, 0], [2, 0, 0, 0]])),
-     ValueError, "linearly dependent"),
+     ValueError, "^basis columns are linearly dependent$"),
     (lambda: membership(_coord_point(4, (0,)), SchubertCondition(2, 4, (2, 4)),
                         Flag.coordinate(4)), DimensionMismatch,
      "condition needs k=2"),
@@ -144,6 +144,14 @@ def test_membership_dimension_mismatch():
 def test_geometry_errors(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+def test_grpoint_keeps_the_columns_completing_it():
+    V, W = (GrPoint(Matrix.from_columns([[0, 1, 0, 0], [0, 0, 0, 1]]))
+            for _ in range(2))  # e_2 and e_4 in C^4, two equal bases
+    assert V._complement == (0, 2)
+    assert V == W and hash(V) == hash(W)
+    assert "_complement" not in repr(V)
 
 
 def test_membership_basis_invariant():

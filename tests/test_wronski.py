@@ -258,6 +258,28 @@ def test_random_plane_properties():
         assert all(p.degree() < 5 for p in plane.basis)
 
 
+class _CountingRng:
+    """A stand-in for random.Random that counts its draws, always draws the
+    low end, and gives up after 10,000 draws instead of running forever."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        if self.draws > 10_000:
+            raise RuntimeError("random_plane kept drawing")
+        return a
+
+
+@pytest.mark.parametrize("k, m", [(5, 3), (2, 1), (0, 4)])
+def test_random_plane_refuses_k_outside_1_to_m_before_drawing(k, m):
+    rng = _CountingRng()
+    with pytest.raises(ValueError, match="need 1 <= k <= m"):
+        random_plane(k, m, rng)
+    assert rng.draws == 0
+
+
 def test_plane_validation():
     with pytest.raises(ValueError):
         PolyPlane(4, 2, (PolyQ([1]), PolyQ([2])))  # dependent

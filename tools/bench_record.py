@@ -24,7 +24,8 @@ records' median ``attempted`` op counts: RSS that follows the op count is
 not memory the code holds.  Below the table, one line per workload counts
 the runs paired by seed whose output digests are equal, marks a mismatch,
 and reads ``n/a`` when a record has no digests (records made before they
-were kept).
+were kept).  ``--compare`` exits 1 when a row reads ``regression`` or a
+digest line reads ``MISMATCH``, and 0 otherwise (``unresolved`` included).
 """
 
 from __future__ import annotations
@@ -218,9 +219,12 @@ def main(argv=None) -> int:
     if args.compare:
         base, new = (json.loads(Path(p).read_text(encoding="utf-8"))
                      for p in args.compare)
-        print(format_rows(base, new, compare(base, new, spec["end_to_end"])))
-        print(format_digests(compare_digests(base, new)))
-        return 0
+        rows = compare(base, new, spec["end_to_end"])
+        digests = compare_digests(base, new)
+        print(format_rows(base, new, rows))
+        print(format_digests(digests))
+        return int(any(r["verdict"] == "regression" for r in rows)
+                   or any(d["equal"] < d["pairs"] for d in digests))
     if not args.label or (args.base_checkout is None) != (args.base_label is None):
         parser.error("recording needs --label, and --base-label exactly "
                      "when --base-checkout is given")
