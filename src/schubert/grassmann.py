@@ -133,8 +133,8 @@ def _position(V: GrPoint, F: Flag):
     """Jump rows and adapted basis of V relative to F, from echelon forms.
 
     ``_rref_rows`` reduces the row list [F | V | W], W the standard columns
-    completing V (``V._complement``), to
-    [I | C | X] with C = F^-1 V and X = F^-1 W.  The rows of the rref of
+    completing V (``V._complement``), to [I | C | X] with C = F^-1 V and
+    X = F^-1 W.  The rows of the rref of
     [C^T with its columns reversed | I_k] are c_a followed by alpha_a: c_a,
     read bottom-up, has its last nonzero entry c_a[p_a] = 1 and is zero at
     the other jump rows, and V alpha_a = F c_a.  Returns the jump rows
