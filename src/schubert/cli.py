@@ -23,10 +23,10 @@ from .errors import (DegenerateConfiguration, InfinitelyMany,
 from .flags import (GroupKind, curve_point, exp_translate_flag, flags_equal,
                     gram_matrix, is_isotropic_flag, nilpotency_index,
                     osculating_flag, principal_nilpotent, random_isotropic_flag)
-from .grassmann import (PermCondition, SchubertCondition, codim,
-                        condition_codim, expected_dim_report,
-                        flag_manifold_dim, iota, pad_to_zero_dimensional,
-                        small_solver_gr24, transversality_certificate)
+from .grassmann import (PermCondition, SchubertCondition, condition_codim,
+                        expected_dim_report, flag_manifold_dim, iota,
+                        pad_to_zero_dimensional, small_solver_gr24,
+                        transversality_certificate)
 from .wronski import _eh_report, random_plane, wronskian
 
 EXIT_OK = 0
@@ -295,13 +295,13 @@ def cmd_pad(args):
     k, m = args.k, args.m
     conds = [_parse_at_condition(c, k, m) for c in (args.condition or [])]
     fresh = _rational_list(args.fresh) if args.fresh else []
-    before = k * (m - k) - sum(codim(c) for c, _ in conds)
     padded = pad_to_zero_dimensional(conds, fresh, k=k, m=m)
+    dim = k * (m - k)
     payload = {
         "k": k,
         "m": m,
-        "expected_before": before,
-        "expected_after": k * (m - k) - sum(codim(c) for c, _ in padded),
+        "expected_before": expected_dim_report([c for c, _ in conds], dim).expected,
+        "expected_after": expected_dim_report([c for c, _ in padded], dim).expected,
         "conditions": [{"indices": list(c.indices),
                         "point": jsonio.rational_to_str(t)} for c, t in padded],
     }

@@ -132,11 +132,11 @@ class Flag:
 def _flag_of(m: int, rows: list[list[int]], den: int) -> Flag:
     """The Flag with basis ``rows / den``, for m x m integer rows, and with
     ``_rows`` filled in: the rows divided by the gcd of den and their
-    entries, as tuples, which is what :func:`_integer_rows` makes of the
-    basis.  Raises ValueError when the rows are singular, as the public
-    constructor does."""
-    if len(_echelon([row[:] for row in rows], m)[0]) != m:
-        raise ValueError("flag basis matrix is singular")
+    entries, which is :func:`_integer_rows` of the basis.  Both callers build
+    rows lower triangular with a nonzero diagonal for every t, so invertible;
+    any other rows, singular ones among them, raise ValueError."""
+    if any(not row[i] or any(row[i + 1:]) for i, row in enumerate(rows)):
+        raise ValueError("flag rows are singular or not lower triangular")
     g = gcd(den, *(x for row in rows for x in row))
     if g > 1:
         rows = [[x // g for x in row] for row in rows]
@@ -212,14 +212,14 @@ def _curve_rows(kind: GroupKind) -> tuple[tuple[tuple[int, ...], ...], int]:
 def osculating_flag(kind: GroupKind, t) -> Flag:
     """The flag of derivative spans of the curve at t.
 
-    Column i holds the (i-1)-st derivative of the curve; the basis matrix is
-    invertible for every t because the curve entries span all polynomials of
-    degree below m.  With t = u/v and curve entry j equal to p_j / L for
-    an integer polynomial p_j of degree d_j and the common denominator L,
-    its i-th derivative (0-indexed) at t is i! * h_i / (L * v^(d_j - i)),
-    where h_i is the i-th integer Taylor coefficient of p_j from
-    :func:`poly._taylor_coefficients`, and 0 for i > d_j.  Over the common
-    denominator L * v^(m-1) that is the integer i! * h_i * v^(m-1-d_j+i).
+    Column i holds the (i-1)-st derivative of the curve.  With t = u/v and
+    curve entry j equal to p_j / L, p_j an integer polynomial of degree j
+    and L the common denominator, its i-th derivative (from 0) at t is
+    i! * h_i / (L * v^(j-i)), h_i being p_j's i-th integer Taylor coefficient
+    (:func:`poly._taylor_coefficients`), and 0 for i > j.  Over L * v^(m-1)
+    that is the integer i! * h_i * v^(m-1-j+i), so row j ends at its diagonal
+    j! * h_j * v^(m-1), h_j the leading coefficient of p_j, nonzero for every
+    t: the shape :func:`_flag_of` checks.
     """
     t = _rational(t)
     v = t.denominator
@@ -338,10 +338,10 @@ def _principal_powers(kind: GroupKind) -> tuple[int, tuple]:
 
 
 def exp_translate_flag(kind: GroupKind, t) -> Flag:
-    """The flag exp(t * eta) applied to the coordinate flag.
-
-    This equals the osculating flag of the group's curve at t (checked by
-    the test suite for every supported kind).
+    """The flag exp(t * eta) applied to the coordinate flag, which equals the
+    osculating flag at t (the tests check every kind).  Its rows are den * I
+    plus multiples of powers of the strictly lower-triangular eta: the shape
+    :func:`_flag_of` checks.
     """
     if kind.tag == "SO_even":
         raise UnsupportedGroup(f"{kind} has no attached flag family")

@@ -358,7 +358,7 @@ def pad_to_zero_dimensional(
     for c, _ in conditions:
         if (c.k, c.m) != (k, m):
             raise DimensionMismatch("conditions live on different Grassmannians")
-    r = k * (m - k) - sum(codim(c) for c, _ in conditions)
+    r = expected_dim_report([c for c, _ in conditions], k * (m - k)).expected
     if r < 0:
         raise NegativeExpectedDimension(
             f"codimensions exceed dim Gr({k},{m}) by {-r}")

@@ -13,11 +13,13 @@ constructor's rows and paired with flags over Q(sqrt(5)).
 """
 
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from schubert.cli import MAX_AMBIENT_DIM
 from schubert.errors import NotNilpotent
 from schubert.flags import (Flag, GroupKind, _flag_of, curve_polynomials,
                             exp_translate_flag, flags_equal, gram_matrix,
@@ -309,14 +311,17 @@ def test_exp_translate_flag_matches_exp_nilpotent():
 
 
 def test_flag_of_refuses_singular_rows():
-    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
+    # every singular input fails the shape check, and so do invertible rows
+    # outside it, such as the upper-triangular last case
+    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+                 [[1, 1], [0, 1]]):
         with pytest.raises(ValueError, match="singular"):
             _flag_of(len(rows), rows, 3)
 
 
 @pytest.mark.parametrize("rows, den, want", [
     ([[2, 0], [0, 2]], 3, [[F(2, 3), 0], [0, F(2, 3)]]),
-    ([[4, 2], [0, 6]], 9, [[F(4, 9), F(2, 9)], [0, F(2, 3)]]),
+    ([[4, 0], [2, 6]], 9, [[F(4, 9), 0], [F(2, 9), F(2, 3)]]),
 ])
 def test_flag_of_keeps_the_basis(rows, den, want):
     # the gcd of the entries need not divide den; dividing den by it anyway
@@ -332,6 +337,28 @@ def test_constructed_rows_are_the_integer_rows_of_the_basis():
             for flag in (osculating_flag(kind, t), exp_translate_flag(kind, t)):
                 want = _integer_rows(flag.basis._data)[0]
                 assert [list(r) for r in flag._rows] == want, (kind, t)
+
+
+def test_every_cli_sized_flag_has_the_shape_flag_of_checks():
+    # _flag_of proves invertibility by shape alone, so build both flags of
+    # every kind up to the CLI's largest ambient dimension at points with
+    # small and large denominators; the public constructor's own rank check
+    # must accept each basis, and _rows must stay _integer_rows of it
+    start = time.perf_counter()
+    kinds = ([GroupKind.sl(m) for m in range(2, MAX_AMBIENT_DIM + 1)]
+             + [GroupKind.sp(n) for n in range(1, MAX_AMBIENT_DIM // 2 + 1)]
+             + [GroupKind.so_odd(n) for n in range(1, (MAX_AMBIENT_DIM - 1) // 2 + 1)])
+    built = 0
+    for kind in kinds:
+        m = kind.ambient_dim
+        for t in (F(0), F(1), F(-1), F(3, 7), F(-9, 2), F(10 ** 6 + 3, 997)):
+            for flag in (osculating_flag(kind, t), exp_translate_flag(kind, t)):
+                assert [list(r) for r in flag._rows] == \
+                    _integer_rows(flag.basis._data)[0], (kind, t)
+                assert Flag(m, flag.basis) == flag
+                built += 1
+    assert built == 552
+    assert time.perf_counter() - start < 10.0
 
 
 def test_mixed_field_pairs_match_references():

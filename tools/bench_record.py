@@ -20,11 +20,12 @@ the two alternating which goes first, and the base runs go to
 ``BENCHMARK.json``, the base median and quartile spread, the new median,
 their ratio, how many runs paired by seed the new record wins, and a
 verdict (see :func:`verdict`).  The ``max_rss_mb`` line also shows both
-records' median ``attempted`` op counts: RSS that follows the op count is
-not memory the code holds.  Below the table, one line per workload counts
-the runs paired by seed whose output digests are equal, marks a mismatch,
-and reads ``n/a`` when a record has no digests (records made before they
-were kept).  ``--compare`` exits 1 when a row reads ``regression`` or a
+records' median ``attempted`` op counts and the change in median RSS per
+1,000 extra attempted ops (``n/a`` when the counts are equal): RSS that
+follows the op count is not memory the code holds.  Below the table, one
+line per workload counts the runs paired by seed whose output digests are
+equal, marks a mismatch, and reads ``n/a`` when a record has no digests
+(records made before they were kept).  ``--compare`` exits 1 when a row reads ``regression`` or a
 digest line reads ``MISMATCH``, and 0 otherwise (``unresolved`` included).
 """
 
@@ -153,6 +154,9 @@ def compare(base: dict, new: dict, metrics: list[dict]) -> list[dict]:
             rows[-1]["verdict"] = verdict(rows[-1], spec["bound"])
             if name == RSS_METRIC:
                 rows[-1]["attempted"] = attempted  # base and new medians
+                extra = attempted[1] - attempted[0]
+                rows[-1]["mb_per_kop"] = (1000 * (n_med - b_med) / extra
+                                          if extra else None)
     return rows
 
 
@@ -182,6 +186,13 @@ def format_digests(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def _ops_note(row: dict) -> str:
+    """The op counts and RSS change per 1,000 extra ops of a max_rss_mb row."""
+    per = row["mb_per_kop"]
+    return ("  attempted {:g} -> {:g}, MB per 1,000 extra ops: {}".format(
+        *row["attempted"], "n/a" if per is None else f"{per:+.2f}"))
+
+
 def format_rows(base: dict, new: dict, rows: list[dict]) -> str:
     lines = [f"{new['label']} against base {base['label']}",
              f"{'workload':16s} {'metric':16s} {'base median':>12s} "
@@ -193,8 +204,7 @@ def format_rows(base: dict, new: dict, rows: list[dict]) -> str:
             f"{r['base_spread']:10.4g} {r['new_median']:12.6g} "
             f"{r['ratio']:9.4f} {r['wins']:3d}/{r['pairs']:<3d}  "
             f"{r['verdict']:10s}  {r['better']}"
-            + ("  attempted {:g} -> {:g}".format(*r["attempted"])
-               if "attempted" in r else ""))
+            + (_ops_note(r) if "attempted" in r else ""))
     return "\n".join(lines)
 
 
