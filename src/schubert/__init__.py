@@ -11,8 +11,7 @@ from .errors import (DegenerateConfiguration, DimensionMismatch,
                      NotInCellInterior, NotMember, NotNilpotent,
                      SchubertError, UnsupportedGroup, ZeroPolynomial)
 from .linalg import (Matrix, QuadExt, det, exp_nilpotent, inverse,
-                     kernel, rank, rref, simplify_matrix, simplify_scalar,
-                     solve_quadratic, square_split)
+                     kernel, rank, rref, solve_quadratic, square_split)
 from .poly import PolyQ
 from .flags import (BilinearForm, Flag, GroupKind, curve_point,
                     curve_polynomials, exp_translate_flag, flags_equal,
@@ -49,8 +48,8 @@ __all__ = [
     "osculating_flag", "pad_to_zero_dimensional",
     "perm_codim", "plane_to_grpoint", "plane_vanishing_orders",
     "principal_nilpotent", "ramification_condition", "random_isotropic_flag",
-    "random_plane", "rank", "rref", "simplify_matrix", "simplify_scalar",
-    "small_solver_gr24", "solve_quadratic", "square_split", "tangent_space",
+    "random_plane", "rank", "rref", "small_solver_gr24", "solve_quadratic",
+    "square_split", "tangent_space",
     "transversality_certificate", "vanishing_order", "wronski_solver_gr24",
     "wronskian",
 ]

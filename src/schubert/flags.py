@@ -240,11 +240,12 @@ def osculating_flag(kind: GroupKind, t) -> Flag:
 # -- bilinear forms ----------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
 def gram_matrix(kind: GroupKind) -> BilinearForm:
     """The preserved bilinear form: alternating for Sp, symmetric for SO(2n+1).
 
     Sp(2n): anti-diagonal with +1 in the first n rows and -1 in the last n.
-    SO(2n+1): anti-diagonal ones.
+    SO(2n+1): anti-diagonal ones.  Cached per kind: the form is immutable.
     """
     if kind.tag == "Sp":
         m = kind.ambient_dim

@@ -31,7 +31,7 @@ from .errors import (DegenerateConfiguration, DimensionMismatch, InfinitelyMany,
                      NegativeExpectedDimension, NotInCellInterior, NotMember)
 from .flags import Flag
 from .linalg import (Matrix, _echelon, _integer_rows, _rational, _require_ints,
-                     _rref_rows, det, rank, simplify_matrix, solve_quadratic)
+                     _rref_rows, det, rank, solve_quadratic)
 
 __all__ = [
     "SchubertCondition",
@@ -82,11 +82,16 @@ def codim(cond: SchubertCondition) -> int:
     return sum(cond.m - cond.k + j - i for j, i in enumerate(cond.indices, 1))
 
 
-def iota(k: int, m: int) -> SchubertCondition:
-    """The unique codimension-one condition (m-k, m-k+2, m-k+3, ..., m)."""
+def _require_gr_sizes(k: int, m: int) -> None:
+    """Raise unless k and m are ints (TypeError) with 1 <= k < m."""
     _require_ints("k and m", k, m)
     if not 1 <= k < m:
         raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
+
+
+def iota(k: int, m: int) -> SchubertCondition:
+    """The unique codimension-one condition (m-k, m-k+2, m-k+3, ..., m)."""
+    _require_gr_sizes(k, m)
     return SchubertCondition(k, m, (m - k,) + tuple(range(m - k + 2, m + 1)))
 
 
@@ -328,8 +333,7 @@ def small_solver_gr24(flags: Sequence[Flag]) -> list[GrPoint]:
         y0, y1 = u[1], -u[0]
         col_a = [x0 * a1[r] + x1 * a2[r] for r in range(4)]
         col_b = [y0 * b1[r] + y1 * b2[r] for r in range(4)]
-        basis = simplify_matrix(Matrix.from_columns([col_a, col_b], rows=4))
-        out.append(GrPoint(basis))
+        out.append(GrPoint(Matrix.from_columns([col_a, col_b], rows=4)))
     return out
 
 
@@ -354,7 +358,7 @@ def pad_to_zero_dimensional(
         m = conditions[0][0].m if m is None else m
     if k is None or m is None:
         raise ValueError("k and m are required when no conditions are given")
-    pad = iota(k, m)
+    _require_gr_sizes(k, m)
     for c, _ in conditions:
         if (c.k, c.m) != (k, m):
             raise DimensionMismatch("conditions live on different Grassmannians")
@@ -371,6 +375,7 @@ def pad_to_zero_dimensional(
         raise ValueError(f"fresh points collide with condition points: {sorted(clash)}")
     if len(fresh) < r:
         raise ValueError(f"need {r} fresh points, got {len(fresh)}")
+    pad = iota(k, m)  # last: its k indices cost no more than the input
     return conditions + [(pad, u) for u in fresh[:r]]
 
 

@@ -57,8 +57,6 @@ def parse_rational(s: str) -> Fraction:
 
 def scalar_to_json(x):
     if isinstance(x, QuadExt):
-        if not x.b:
-            return rational_to_str(x.a)
         return {"a": rational_to_str(x.a), "b": rational_to_str(x.b), "d": x.d}
     return rational_to_str(x)
 

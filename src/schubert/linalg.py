@@ -15,7 +15,8 @@ place too, :func:`_rational`: every Matrix or PolyQ entry, QuadExt part
 and rational parameter of the package goes through it, and a float, str
 or bool raises TypeError.  Beside it, :func:`_require_ints` is the one
 test of a size: every size a public entry point takes is an int, not a
-bool.  A QuadExt is normalized once, in ``__init__``.
+bool.  A rational is always a Fraction and a QuadExt always irrational:
+only ``QuadExt(...)`` and the arithmetic's :func:`_of` decide which.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ __all__ = [
     "exp_nilpotent",
     "solve_quadratic",
     "square_split",
-    "simplify_scalar",
-    "simplify_matrix",
 ]
 
 # Trial-division bound for square extraction.  Beyond this we only test the
@@ -129,25 +128,29 @@ class QuadExt:
 
     ``d`` is square-reduced by :func:`square_split` (possibly negative), so
     one value may be stored with two different ``d``; equality, hashing and
-    arithmetic treat such copies as the same number.  Rational values
-    normalize to ``b == 0, d == 1`` so that equality and hashing agree with
-    Fraction.  Normalization happens once, in ``__init__``, which reads
-    ``a`` and ``b`` through :func:`_rational` and needs an int ``d``, not a
-    bool; arithmetic builds its results from normalized parts without it.
-    Any operand but a QuadExt goes through :func:`_rational`; combining
+    arithmetic treat such copies as the same number.  Every QuadExt has
+    ``b != 0``: ``QuadExt(a, b, d)`` returns the Fraction ``a + b*s*d``
+    when b*sqrt(d) is rational, (s, d) being d's square split, and so does
+    :func:`_of` for arithmetic results.  ``QuadExt(...)`` reads ``a`` and
+    ``b`` through :func:`_rational` and needs an int ``d``, not a bool;
+    arithmetic builds its results from normalized parts without it.  Any
+    operand but a QuadExt goes through :func:`_rational`; combining
     elements of two different extensions raises ValueError.
     """
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a=0, b=0, d: int = 1):
+    def __new__(cls, a=0, b=0, d: int = 1) -> Scalar:
         _require_ints("QuadExt's d", d)
         a, b = _rational(a), _rational(b)
         s, d = square_split(d) if b else (0, 0)
-        b *= s
-        if d in (0, 1):  # b*sqrt(d) is rational: fold it into a
-            a, b, d = a + b * d, Fraction(0), 1
-        self.a, self.b, self.d = a, b, d
+        if d in (0, 1):  # b*sqrt(d) is rational: the value is a Fraction
+            return a + b * s * d
+        return _of(a, b * s, d)
+
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild the value through __new__
+        return self.a, self.b, self.d
 
     # -- helpers -----------------------------------------------------------
     def _parts(self, other) -> tuple:
@@ -155,8 +158,8 @@ class QuadExt:
         left a large square inside d), b*sqrt(d2) == (b*s/|d1|)*sqrt(d1)."""
         if not isinstance(other, QuadExt):
             return _rational(other), 0, self.d
-        if not (self.b and other.b) or self.d == other.d:
-            return other.a, other.b, (self.d if self.b else other.d)
+        if self.d == other.d:
+            return other.a, other.b, self.d
         prod = self.d * other.d
         s = isqrt(prod) if prod > 0 else -1
         if s * s != prod:
@@ -169,8 +172,6 @@ class QuadExt:
 
     def inverse(self) -> "QuadExt":
         nrm = self.a * self.a - self.d * self.b * self.b
-        if not nrm:
-            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
         return _of(self.a / nrm, -self.b / nrm, self.d)
 
     # -- arithmetic --------------------------------------------------------
@@ -214,22 +215,15 @@ class QuadExt:
     def __eq__(self, other):
         if isinstance(other, QuadExt):
             return self._key() == other._key()
-        if isinstance(other, (int, Fraction)):
-            return not self.b and self.a == other
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.a) if not self.b else hash(self._key())
-
-    def __bool__(self):
-        return bool(self.a or self.b)
+        return hash(self._key())
 
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r}, {self.d})"
 
     def __str__(self):
-        if not self.b:
-            return str(self.a)
         tail = f"{self.b}*sqrt({self.d})" if self.b > 0 else f"- {-self.b}*sqrt({self.d})"
         if not self.a:
             return tail if self.b > 0 else "-" + tail[2:]
@@ -237,10 +231,13 @@ class QuadExt:
         return f"{self.a} {mid}{tail}"
 
 
-def _of(a: Fraction, b: Fraction, d: int) -> QuadExt:
-    """The arithmetic's QuadExt of normalized parts, with d = 1 when b == 0."""
+def _of(a: Fraction, b: Fraction, d: int) -> Scalar:
+    """The arithmetic's value of normalized parts: the Fraction a when b == 0,
+    and otherwise the QuadExt, built with no square_split lookup."""
+    if not b:
+        return a
     x = object.__new__(QuadExt)
-    x.a, x.b, x.d = a, b, (d if b else 1)
+    x.a, x.b, x.d = a, b, d
     return x
 
 
@@ -249,13 +246,6 @@ Scalar = Union[Fraction, QuadExt]
 
 def _coerce(x) -> Scalar:
     return x if type(x) is Fraction or isinstance(x, QuadExt) else _rational(x)
-
-
-def simplify_scalar(x: Scalar) -> Scalar:
-    """Collapse a QuadExt that happens to be rational down to a Fraction."""
-    if isinstance(x, QuadExt) and not x.b:
-        return x.a
-    return x
 
 
 class Matrix:
@@ -385,11 +375,6 @@ def _dot(xs, ys):
     return acc
 
 
-def simplify_matrix(M: Matrix) -> Matrix:
-    return Matrix([[simplify_scalar(x) for x in row] for row in M.to_rows()],
-                  shape=(M.rows, M.cols))
-
-
 # -- elimination ----------------------------------------------------------
 
 
@@ -473,9 +458,7 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list], int]:
     and every value up to that one factor.
     """
     if any(type(x) is QuadExt for row in rows for x in row):
-        if any(type(x) is QuadExt and x.b for row in rows for x in row):
-            return [list(row) for row in rows], 1
-        rows = [[x.a if type(x) is QuadExt else x for x in r] for r in rows]
+        return [list(row) for row in rows], 1
     D = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (D // x.denominator) for x in row]
             for row in rows], D
@@ -596,12 +579,12 @@ def exp_nilpotent(N: Matrix, t) -> Matrix:
                     for x in row] for row in rows], shape=(N.rows, N.rows))
 
 
-def solve_quadratic(a, b, c) -> list[QuadExt]:
+def solve_quadratic(a, b, c) -> list[Scalar]:
     """Exact roots of ``a x^2 + b x + c`` with rational coefficients.
 
     Quadratic case returns both roots (with multiplicity) over Q(sqrt(d)) for
-    the squarefree part d of the discriminant; rational-square discriminants
-    collapse to rational roots.  The linear case returns its single root.
+    the squarefree part d of the discriminant, as Fractions when it is the
+    square of a rational.  The linear case returns its single root.
     """
     a, b, c = _rational(a), _rational(b), _rational(c)
     if not a:
@@ -609,7 +592,7 @@ def solve_quadratic(a, b, c) -> list[QuadExt]:
             if not c:
                 raise ValueError("identically zero equation")
             raise NoSolution("nonzero constant equation has no roots")
-        return [QuadExt(-c / b)]
+        return [-c / b]
     disc = b * b - 4 * a * c
     s, d = square_split(disc.numerator * disc.denominator)
     rad = Fraction(s, disc.denominator)  # sqrt(disc) == rad * sqrt(d)

@@ -38,7 +38,7 @@ from math import comb, prod
 from .errors import DegenerateConfiguration, ZeroPolynomial
 from .grassmann import GrPoint, SchubertCondition, codim
 from .linalg import (Matrix, _echelon, _integer_rows, _rational, _require_ints,
-                     simplify_scalar, solve_quadratic)
+                     solve_quadratic)
 from .poly import PolyQ, _taylor_coefficients
 
 __all__ = [
@@ -217,7 +217,7 @@ def plane_to_grpoint(plane: PolyPlane) -> GrPoint:
     cols = []
     for p in plane.basis:
         c = list(p.coeffs) + [Fraction(0)] * (m - len(p.coeffs))
-        col = [simplify_scalar(c[m - 1 - j] * Fraction((-1) ** j, comb(m - 1, j)))
+        col = [c[m - 1 - j] * Fraction((-1) ** j, comb(m - 1, j))
                for j in range(m)]
         cols.append(col)
     return GrPoint(Matrix.from_columns(cols, rows=m))
@@ -250,8 +250,8 @@ def wronski_solver_gr24(roots) -> list[PolyPlane]:
     out = []
     for v in vs:
         p = 3 * v - e2
-        f = PolyQ([q, simplify_scalar(p), 0, 1])
-        g = PolyQ([simplify_scalar(v), u, 1])
+        f = PolyQ([q, p, 0, 1])
+        g = PolyQ([v, u, 1])
         out.append(PolyPlane(4, 2, (f, g)))
     return out
 

@@ -123,32 +123,7 @@ def test_compare_shows_op_counts_beside_rss():
     ops_line, rss_line = bench_record.format_rows(base, new, rows).splitlines()[2:]
     assert "attempted" not in ops_line
     assert rss_line.startswith("eh_check") and "max_rss_mb" in rss_line
-    assert rss_line.endswith("lower  attempted 2600 -> 3750, "
-                             "MB per 1,000 extra ops: +1.30")
-
-
-@pytest.mark.parametrize("new_attempted, new_rss, want", [
-    (2000, 29.9, 1000 * -0.6 / -600),  # fewer ops, less memory: positive
-    (2600, 40.0, None),  # equal counts: no rate
-])
-def test_compare_shows_rss_per_thousand_extra_ops(new_attempted, new_rss, want):
-    # the base medians are 30.5 MB over 2600 ops; more ops and more memory
-    # are the case above
-    base = _record("base", [("eh_check", 1, 100.0, 30.0),
-                            ("eh_check", 2, 110.0, 31.0)], attempted=2500)
-    base["runs"][1]["result"]["attempted"] = 2700
-    new = _record("new", [("eh_check", 1, 150.0, new_rss)],
-                  attempted=new_attempted)
-    rows = bench_record.compare(base, new, METRICS)
-    ops, rss = rows
-    assert "mb_per_kop" not in ops
-    if want is None:
-        assert rss["mb_per_kop"] is None
-    else:
-        assert rss["mb_per_kop"] == pytest.approx(want)
-    rss_line = bench_record.format_rows(base, new, rows).splitlines()[-1]
-    assert rss_line.endswith("MB per 1,000 extra ops: "
-                             + ("n/a" if want is None else f"{want:+.2f}"))
+    assert rss_line.endswith("lower  attempted 2600 -> 3750")
 
 
 def test_environment_must_not_change():

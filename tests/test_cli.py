@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -416,6 +417,22 @@ def test_pad_with_k_outside_1_to_m_minus_1_exits_2(capsys, k, m):
     assert code == 2
     assert data == {"error": f"need 1 <= k < m, got k={k}, m={m}",
                     "error_type": "ValueError"}
+
+
+def test_pad_too_few_fresh_points_exits_2_in_small_memory(capsys):
+    # the k indices of the padding condition are built only once the fresh
+    # points suffice, so a large k without them costs no memory
+    tracemalloc.start()
+    try:
+        code, data = run_json(capsys, "pad", "--k", "1000000",
+                              "--m", "1000001")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert data == {"error": "need 1000000 fresh points, got 0",
+                    "error_type": "ValueError"}
+    assert peak < 1_000_000
 
 
 def test_pad_colliding_fresh_exits_2(capsys):

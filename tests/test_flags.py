@@ -112,6 +112,17 @@ def test_sp2_and_so5_gram():
                          for i in range(5)])
 
 
+def test_gram_matrix_is_built_once_per_kind():
+    for kind in (GroupKind.sp(2), GroupKind.so_odd(3)):
+        again = GroupKind(kind.tag, kind.param)
+        assert again is not kind and gram_matrix(again) is gram_matrix(kind)
+    assert gram_matrix(GroupKind.sp(2)) is not gram_matrix(GroupKind.sp(3))
+    # errors are not cached: SL and SO(2n) raise on every call
+    for kind in (GroupKind.sl(4), GroupKind.so_even(2)) * 2:
+        with pytest.raises(UnsupportedGroup):
+            gram_matrix(kind)
+
+
 def test_bilinear_form_validates_symmetry():
     with pytest.raises(ValueError):
         BilinearForm("alternating", Matrix([[0, 1], [1, 0]]))

@@ -1,8 +1,9 @@
 """The integer-scaling decision of linalg._integer_rows, for the whole input.
 
 A matrix is scaled to integer rows only when every entry is rational, also
-when some entries are QuadExt values with b == 0; one Q(sqrt(d)) entry
-anywhere leaves every row as it is.  Deciding row by row instead would hand
+when some entries were built as QuadExt(a, b, d) with b*sqrt(d) rational,
+which are Fractions; one Q(sqrt(d)) entry anywhere leaves every row as it
+is.  Deciding row by row instead would hand
 _echelon int rows next to irrational ones, and its field branch would divide
 int pivots with float division.  rank and det are checked against sympy,
 flags_equal and is_isotropic_flag against their definitions.

@@ -50,7 +50,7 @@ def test_scalar_round_trip():
     for x in [F(0), F(-7, 2), QuadExt(F(1, 2), F(-1, 3), 13)]:
         encoded = jsonio.scalar_to_json(x)
         assert jsonio.scalar_from_json(encoded) == x
-    # rational-valued QuadExt collapses to a plain string
+    # QuadExt(...) of a rational value is a Fraction: a plain string
     assert jsonio.scalar_to_json(QuadExt(F(3), F(0), 5)) == "3"
 
 

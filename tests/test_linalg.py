@@ -1,6 +1,8 @@
 """Exact linear algebra: rank/kernel against brute-force oracles, nilpotent
 exponentials against the closed-form series, quadratic roots resubstituted."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -269,10 +271,15 @@ def test_quadext_field_identities():
         d = rng.choice([2, 3, 5, -1, -7, 13])
         a = F(rng.randint(-5, 5), rng.randint(1, 4))
         b = F(rng.randint(-5, 5), rng.randint(1, 4))
-        x = QuadExt(a, b, d)
-        assert x * x.conjugate() == a * a - d * b * b
+        # x is a Fraction when b == 0, and a Fraction has no conjugate or
+        # inverse of Q(sqrt(d)): the operators build both
+        x, xbar = a + b * QuadExt(0, 1, d), a - b * QuadExt(0, 1, d)
+        assert x == QuadExt(a, b, d)
+        assert x * xbar == a * a - d * b * b
         if x:
-            assert x * x.inverse() == 1
+            assert x * (1 / x) == 1
+        if b:
+            assert x.conjugate() == xbar and x.inverse() == 1 / x
         y = QuadExt(F(rng.randint(-4, 4)), F(rng.randint(-4, 4)), d)
         z = QuadExt(F(rng.randint(-4, 4)), F(rng.randint(-4, 4)), d)
         assert (x + y) * z == x * z + y * z
@@ -281,7 +288,7 @@ def test_quadext_field_identities():
 
 @pytest.mark.parametrize("args", [
     (0, 1, 2.9), (F(0), F(1), True), (0, 1, F(2)), (0, 1, "2"),
-    (0.1,), (0, 0.5, 2), ("1",), (QuadExt(1),)])
+    (0.1,), (0, 0.5, 2), ("1",), (QuadExt(0, 1, 2),)])
 def test_quadext_takes_only_exact_parts(args):
     # a float d would truncate, and a float part would store its binary value
     with pytest.raises(TypeError):
@@ -311,8 +318,19 @@ def test_quadext_mixes_with_rationals():
     x = QuadExt(F(1), F(1), 5)
     assert x + 1 == QuadExt(F(2), F(1), 5)
     assert 2 * x == QuadExt(F(2), F(2), 5)
-    assert not (x - x).b
+    assert type(x - x) is F and x - x == 0
     assert F(1, 2) / QuadExt(F(0), F(1), 2) == QuadExt(F(0), F(1, 4), 2)
+
+
+def test_quadext_survives_copy_and_pickle():
+    # QuadExt() is Fraction(0), so copies must rebuild from (a, b, d)
+    x = QuadExt(F(1, 2), F(-3), 7)
+    copies = [copy.copy(x), copy.deepcopy(x), copy.deepcopy([x])[0]]
+    copies += [pickle.loads(pickle.dumps(x, protocol))
+               for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for y in copies:
+        assert type(y) is QuadExt
+        assert (y.a, y.b, y.d) == (x.a, x.b, x.d) and y == x
 
 
 def test_matrix_over_quadext():

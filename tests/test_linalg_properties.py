@@ -4,8 +4,10 @@ Small matrices over Q and Q(sqrt(d)) are generated by hypothesis; rank,
 det, rref with its pivots, nullity, M * kernel(M) == 0 and inverse are
 compared with the same operations over sympy's QQ or QQ<sqrt(d)>.  QuadExt
 is checked against the field axioms, against Fraction for rational values
-(== and hash), across the square splits of one d, and for arithmetic
-results that come out normalized without a second square_split lookup.
+(== and hash), across the square splits of one d, and for one form per
+value: a result of QuadExt(...), the arithmetic or solve_quadratic is a
+Fraction exactly when sympy finds its value rational, and otherwise a
+QuadExt with b != 0, built without a second square_split lookup.
 """
 
 from fractions import Fraction
@@ -22,7 +24,7 @@ from sympy.polys.domains import QQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from schubert.linalg import (Matrix, QuadExt, det, inverse, kernel,  # noqa: E402
-                             rank, rref, square_split)
+                             rank, rref, solve_quadratic, square_split)
 
 F = Fraction
 D_VALUES = (2, 3, 5, 13, -1, -3)
@@ -47,8 +49,7 @@ def _to_sympy(x, d):
     K = _field(d)
     if isinstance(x, QuadExt):
         a, b = x.a, x.b
-        # a rational QuadExt stores d == 1
-        assert not b or x.d == d
+        assert b and x.d == d
     else:
         a, b = x, F(0)
     a = QQ(a.numerator, a.denominator)
@@ -137,12 +138,13 @@ def test_quadext_field_axioms(elems):
     assert x + 0 == x and x * 1 == x and x - x == 0 and not (x - x)
     assert x - y == x + (-y) and (x - y) + y == x
     assert 2 - x == -(x - 2) and F(1, 3) - x == -(x - F(1, 3))
+    # x may be a Fraction, which has no QuadExt.inverse: 1 / x is the inverse
     if x:
-        assert x * x.inverse() == 1
+        assert x * (1 / x) == 1
         assert (y / x) * x == y
     else:
         with pytest.raises(ZeroDivisionError):
-            x.inverse()
+            1 / x
 
 
 def _lookups():
@@ -150,27 +152,69 @@ def _lookups():
     return info.hits + info.misses
 
 
+def _assert_one_form(r, value, d):
+    """r is a Fraction exactly when value, r's value in sympy's QQ<sqrt(d)>,
+    is rational, and otherwise a QuadExt of Fraction parts with b != 0."""
+    assert _to_sympy(r, d) == value
+    if _field(d).to_sympy(value).is_Rational:
+        assert type(r) is F
+    else:
+        assert type(r) is QuadExt and type(r.a) is type(r.b) is F and r.b
+
+
 @SETTINGS
 @given(field_elements(), _rationals)
 def test_quadext_arithmetic_builds_normalized_results(elems, q):
-    # the parts of an arithmetic result are those __init__ would make of
-    # them, and building it looks no d up in square_split
+    # every result is in its one form, an irrational one has the parts
+    # QuadExt(...) would make of them, and building it looks no d up in
+    # square_split; X, Y and Q are x, y and q in sympy's QQ<sqrt(d)>
     x, y, _ = elems
-    ops = [lambda: x + y, lambda: x - y, lambda: x * y, lambda: -x,
-           lambda: x.conjugate(), lambda: x + q, lambda: q + x,
-           lambda: x - q, lambda: q - x, lambda: x * q, lambda: q * x]
+    d = next((e.d for e in elems if type(e) is QuadExt), D_VALUES[0])
+    X, Y, Q = (_to_sympy(e, d) for e in (x, y, q))
+    ops = [(lambda: x + y, X + Y), (lambda: x - y, X - Y),
+           (lambda: x * y, X * Y), (lambda: -x, -X),
+           (lambda: x + q, X + Q), (lambda: q + x, Q + X),
+           (lambda: x - q, X - Q), (lambda: q - x, Q - X),
+           (lambda: x * q, X * Q), (lambda: q * x, Q * X)]
+    if type(x) is QuadExt:
+        ops.append((lambda: x.conjugate(), _to_sympy(2 * x.a, d) - X))
     if y:
-        ops += [lambda: x / y, lambda: y.inverse(), lambda: q / y]
+        ops += [(lambda: x / y, X / Y), (lambda: q / y, Q / Y)]
+        if type(y) is QuadExt:
+            ops.append((lambda: y.inverse(), _to_sympy(F(1), d) / Y))
     if q:
-        ops.append(lambda: x / q)
-    for op in ops:
+        ops.append((lambda: x / q, X / Q))
+    for op, value in ops:
         before = _lookups()
         r = op()
         assert _lookups() == before
-        assert type(r) is QuadExt and type(r.a) is type(r.b) is F
-        assert (r.d == 1) == (r.b == 0)
-        n = QuadExt(r.a, r.b, r.d)
-        assert (n.a, n.b, n.d) == (r.a, r.b, r.d)
+        _assert_one_form(r, value, d)
+        if type(r) is QuadExt:
+            n = QuadExt(r.a, r.b, r.d)
+            assert (n.a, n.b, n.d) == (r.a, r.b, r.d)
+
+
+@SETTINGS
+@given(_rationals, _rationals, st.integers(-30, 30), _rationals)
+def test_quadext_and_roots_are_fractions_exactly_when_rational(a, b, n, c):
+    x = QuadExt(a, b, n)
+    value = a + b * sympy.sqrt(n)
+    assert (type(x) is F) == value.is_Rational
+    if type(x) is F:
+        assert x == value
+    else:
+        assert x.b and sympy.expand(x.a + x.b * sympy.sqrt(x.d) - value) == 0
+    # the roots of 2 t^2 + b t + c are rational exactly when the
+    # discriminant is a rational square; the root of b t + c always is
+    for lead in (F(2), F(0)):
+        if not (lead or b):
+            continue
+        rational = sympy.sqrt(sympy.Rational(b * b - 4 * lead * c)).is_Rational
+        for r in solve_quadratic(lead, b, c):
+            root = (r.a + r.b * sympy.sqrt(r.d) if type(r) is QuadExt
+                    else sympy.Rational(r))
+            assert sympy.expand(lead * root ** 2 + b * root + c) == 0
+            assert (type(r) is F) == (rational or not lead)
 
 
 @SETTINGS
@@ -182,7 +226,7 @@ def test_quadext_rational_values_match_fraction(a, b, d):
              (QuadExt(a, b, d) - QuadExt(0, b, d), a),
              (QuadExt(0, b, d) * QuadExt(0, b, d), b * b * d)]
     for x, q in cases:
-        assert not x.b
+        assert type(x) is F
         assert x == q and q == x and hash(x) == hash(q)
         assert {q: "found"}.get(x) == "found"
         assert (x != q + 1) and hash(x + 1) == hash(q + 1)

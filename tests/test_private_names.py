@@ -18,7 +18,8 @@ KEPT_METHODS = {
     ("poly", "PolyQ", "derivative"): "a span of perfbench/spans.py METHODS",
     ("poly", "PolyQ", "divide_linear"): "a span of perfbench/spans.py METHODS",
     ("linalg", "QuadExt", "conjugate"):
-        "the planned Z[sqrt(d)] elimination divides as x*conj(y)/N(y)",
+        "the planned Z[sqrt(d)] elimination divides as x*conj(y)/N(y), "
+        "and must take a Fraction y as its own conjugate",
     ("flags", "GroupKind", "so_odd"): "library constructor, like sl and sp",
     ("flags", "GroupKind", "so_even"): "library constructor, like sl and sp",
     ("flags", "Flag", "coordinate"): "library constructor of the standard flag",

@@ -20,9 +20,8 @@ the two alternating which goes first, and the base runs go to
 ``BENCHMARK.json``, the base median and quartile spread, the new median,
 their ratio, how many runs paired by seed the new record wins, and a
 verdict (see :func:`verdict`).  The ``max_rss_mb`` line also shows both
-records' median ``attempted`` op counts and the change in median RSS per
-1,000 extra attempted ops (``n/a`` when the counts are equal): RSS that
-follows the op count is not memory the code holds.  Below the table, one
+records' median ``attempted`` op counts: RSS that follows the op count is
+not memory the code holds.  Below the table, one
 line per workload counts the runs paired by seed whose output digests are
 equal, marks a mismatch, and reads ``n/a`` when a record has no digests
 (records made before they were kept).  ``--compare`` exits 1 when a row
@@ -155,9 +154,6 @@ def compare(base: dict, new: dict, metrics: list[dict]) -> list[dict]:
             rows[-1]["verdict"] = verdict(rows[-1], spec["bound"])
             if name == RSS_METRIC:
                 rows[-1]["attempted"] = attempted  # base and new medians
-                extra = attempted[1] - attempted[0]
-                rows[-1]["mb_per_kop"] = (1000 * (n_med - b_med) / extra
-                                          if extra else None)
     return rows
 
 
@@ -188,10 +184,8 @@ def format_digests(rows: list[dict]) -> str:
 
 
 def _ops_note(row: dict) -> str:
-    """The op counts and RSS change per 1,000 extra ops of a max_rss_mb row."""
-    per = row["mb_per_kop"]
-    return ("  attempted {:g} -> {:g}, MB per 1,000 extra ops: {}".format(
-        *row["attempted"], "n/a" if per is None else f"{per:+.2f}"))
+    """The base and new median op counts of a max_rss_mb row."""
+    return "  attempted {:g} -> {:g}".format(*row["attempted"])
 
 
 def format_rows(base: dict, new: dict, rows: list[dict]) -> str:
