@@ -271,8 +271,8 @@ def test_quadext_field_identities():
         d = rng.choice([2, 3, 5, -1, -7, 13])
         a = F(rng.randint(-5, 5), rng.randint(1, 4))
         b = F(rng.randint(-5, 5), rng.randint(1, 4))
-        # x is a Fraction when b == 0, and a Fraction has no conjugate or
-        # inverse of Q(sqrt(d)): the operators build both
+        # x is a Fraction when b == 0, which has no inverse method: the
+        # operators build the conjugate and the inverse
         x, xbar = a + b * QuadExt(0, 1, d), a - b * QuadExt(0, 1, d)
         assert x == QuadExt(a, b, d)
         assert x * xbar == a * a - d * b * b
