@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, gcd
+from math import factorial
 from operator import mul
 
 from .errors import DimensionMismatch, UnsupportedGroup
@@ -97,10 +97,11 @@ class Flag:
     """A complete flag in C^m, stored as an invertible basis matrix.
 
     Column i spans the new direction of the i-th subspace: the j-th subspace
-    of the flag is the span of the first j columns.  ``_rows`` holds the
-    basis rows over one common denominator, as ints when the basis is
-    rational; it is computed on first use, or filled in by :func:`_flag_of`,
-    and is not a field, so equality, hashing and repr see only the basis.
+    of the flag is the span of the first j columns.  ``_rows``, not a field
+    and so unseen by equality, hashing and repr, holds the basis rows over
+    one common denominator; for a rational basis, ints equal to the basis
+    times some positive integer: :func:`_integer_rows` of it, computed on
+    first use, or the rows :func:`_flag_of` was given.
     """
 
     ambient_dim: int
@@ -130,17 +131,12 @@ class Flag:
 
 
 def _flag_of(m: int, rows: list[list[int]], den: int) -> Flag:
-    """The Flag with basis ``rows / den``, for m x m integer rows, and with
-    ``_rows`` filled in: the rows divided by the gcd of den and their
-    entries, which is :func:`_integer_rows` of the basis.  Both callers build
-    rows lower triangular with a nonzero diagonal for every t, so invertible;
-    any other rows, singular ones among them, raise ValueError."""
+    """The Flag with basis ``rows / den`` and ``_rows`` the m x m integer
+    ``rows`` themselves, den > 0 (see :class:`Flag`).  Both callers build
+    rows lower triangular with a nonzero diagonal for every t, so
+    invertible; any other rows, singular ones among them, raise ValueError."""
     if any(not row[i] or any(row[i + 1:]) for i, row in enumerate(rows)):
         raise ValueError("flag rows are singular or not lower triangular")
-    g = gcd(den, *(x for row in rows for x in row))
-    if g > 1:
-        rows = [[x // g for x in row] for row in rows]
-        den //= g
     flag = object.__new__(Flag)
     object.__setattr__(flag, "ambient_dim", m)
     object.__setattr__(flag, "basis", Matrix(
@@ -266,9 +262,9 @@ def is_isotropic_flag(flag: Flag, form: BilinearForm) -> bool:
 
     Equivalently, with P = basis^T * gram * basis, every entry P[a][b] with
     (1-indexed) a + b <= m vanishes.  P is formed from the columns of the
-    flag's ``_rows`` and the Gram matrix as :func:`_integer_rows` scales
-    it; nonzero scalings of the basis and of the Gram matrix leave the zero
-    pattern of P unchanged.
+    flag's ``_rows`` (see :class:`Flag`) and the Gram matrix as
+    :func:`_integer_rows` scales it; nonzero scalings of the basis and of
+    the Gram matrix leave the zero pattern of P unchanged.
     """
     m = flag.ambient_dim
     if form.ambient_dim != m:
@@ -358,8 +354,8 @@ def flags_equal(F: Flag, G: Flag) -> bool:
     [F | G] leaves rows E * [F | G] with E * F upper triangular and
     invertible, so it is enough that the strictly lower part of E * G
     vanishes.  When both flags are rational the echelon form is
-    fraction-free on their ``_rows`` side by side, which scale F and G by
-    one nonzero number each; otherwise it runs on the rows of
+    fraction-free on their ``_rows`` (see :class:`Flag`) side by side, which
+    scale F and G by a positive integer each; otherwise it runs on the rows of
     :func:`_integer_rows`, which never sets ints beside irrational entries.
     """
     if F.ambient_dim != G.ambient_dim:

@@ -148,9 +148,9 @@ class QuadExt:
             return a + b * s * d
         return _of(a, b * s, d)
 
-    def __getnewargs__(self) -> tuple:
-        # copy and pickle rebuild the value through __new__
-        return self.a, self.b, self.d
+    def __reduce__(self) -> tuple:
+        # copy and every pickle protocol rebuild the value through __new__
+        return QuadExt, (self.a, self.b, self.d)
 
     # -- helpers -----------------------------------------------------------
     def _parts(self, other) -> tuple:

@@ -139,7 +139,6 @@ def test_environment_must_not_change():
     ["--label", "x", "--seeds", ""],
     ["--label", "x", "--seeds", "1,,2"],
     ["--label", "x", "--workloads", "eh_check,no_such_workload"],
-    ["--label", "x", "--base-checkout", ".", "--base-label", "x"],
 ])
 def test_recording_rejects_bad_selection_before_running(argv):
     with pytest.raises(SystemExit) as e:

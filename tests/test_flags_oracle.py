@@ -282,6 +282,16 @@ def _proportional(xs, ys):
             and len({F(x) / y for x, y in zip(xs, ys) if y}) == 1)
 
 
+def _rows_multiple(flag):
+    """The integer c >= 1 with ``flag._rows`` equal to c times the rows of
+    _integer_rows(basis), entry for entry, or None when there is none."""
+    want = _integer_rows(flag.basis._data)[0]
+    rows = [list(r) for r in flag._rows]
+    x, y = next((x, y) for r, w in zip(rows, want) for x, y in zip(r, w) if y)
+    c = x // y
+    return c if c >= 1 and rows == [[c * y for y in w] for w in want] else None
+
+
 FLAG_KINDS = ([GroupKind.sl(m) for m in range(2, 11)]
               + [GroupKind.sp(n) for n in range(1, 6)]
               + [GroupKind.so_odd(n) for n in range(1, 6)])
@@ -322,28 +332,29 @@ def test_flag_of_refuses_singular_rows():
 @pytest.mark.parametrize("rows, den, want", [
     ([[2, 0], [0, 2]], 3, [[F(2, 3), 0], [0, F(2, 3)]]),
     ([[4, 0], [2, 6]], 9, [[F(4, 9), 0], [F(2, 9), F(2, 3)]]),
+    ([[2, 0], [6, 4]], 4, [[F(1, 2), 0], [F(3, 2), F(1)]]),
 ])
 def test_flag_of_keeps_the_basis(rows, den, want):
-    # the gcd of the entries need not divide den; dividing den by it anyway
-    # would change the basis
-    flag = _flag_of(2, rows, den)
+    # the basis is rows / den, and _rows are the rows as given, also when a
+    # common factor of den and the entries would reduce them
+    flag = _flag_of(2, [list(r) for r in rows], den)
     assert flag.basis == Matrix(want)
-    assert [list(r) for r in flag._rows] == _integer_rows(flag.basis._data)[0]
+    assert [list(r) for r in flag._rows] == rows
 
 
 def test_constructed_rows_are_the_integer_rows_of_the_basis():
     for kind in FLAG_KINDS:
         for t in T_VALUES:
             for flag in (osculating_flag(kind, t), exp_translate_flag(kind, t)):
-                want = _integer_rows(flag.basis._data)[0]
-                assert [list(r) for r in flag._rows] == want, (kind, t)
+                assert _rows_multiple(flag) is not None, (kind, t)
 
 
 def test_every_cli_sized_flag_has_the_shape_flag_of_checks():
     # _flag_of proves invertibility by shape alone, so build both flags of
     # every kind up to the CLI's largest ambient dimension at points with
     # small and large denominators; the public constructor's own rank check
-    # must accept each basis, and _rows must stay _integer_rows of it
+    # must accept each basis, and _rows must stay a positive integer
+    # multiple of _integer_rows of it
     start = time.perf_counter()
     kinds = ([GroupKind.sl(m) for m in range(2, MAX_AMBIENT_DIM + 1)]
              + [GroupKind.sp(n) for n in range(1, MAX_AMBIENT_DIM // 2 + 1)]
@@ -353,8 +364,7 @@ def test_every_cli_sized_flag_has_the_shape_flag_of_checks():
         m = kind.ambient_dim
         for t in (F(0), F(1), F(-1), F(3, 7), F(-9, 2), F(10 ** 6 + 3, 997)):
             for flag in (osculating_flag(kind, t), exp_translate_flag(kind, t)):
-                assert [list(r) for r in flag._rows] == \
-                    _integer_rows(flag.basis._data)[0], (kind, t)
+                assert _rows_multiple(flag) is not None, (kind, t)
                 assert Flag(m, flag.basis) == flag
                 built += 1
     assert built == 552

@@ -44,9 +44,11 @@ def test_one_irrational_row_keeps_every_row():
     assert rank(M) == 4 and _to_sympy(det(M), 2) == _dm(M, 2).det()
 
 
-def test_rational_quadext_entries_are_scaled():
+def test_rational_values_built_by_quadext_are_scaled():
     rows = [[QuadExt(x) for x in row] for row in RATIONAL_ROWS]
     rows.append([QuadExt(F(1, 5), F(0), 2), F(1), F(0), QuadExt(F(2))])
+    # QuadExt(...) of a rational value is a Fraction
+    assert all(type(x) is F for row in rows for x in row)
     M = Matrix(rows)
     out, D = _integer_rows(M.to_rows())
     assert D == 210

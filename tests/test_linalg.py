@@ -327,7 +327,7 @@ def test_quadext_survives_copy_and_pickle():
     x = QuadExt(F(1, 2), F(-3), 7)
     copies = [copy.copy(x), copy.deepcopy(x), copy.deepcopy([x])[0]]
     copies += [pickle.loads(pickle.dumps(x, protocol))
-               for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for y in copies:
         assert type(y) is QuadExt
         assert (y.a, y.b, y.d) == (x.a, x.b, x.d) and y == x

@@ -1,8 +1,7 @@
 """Record benchmark runs in BENCH_<label>.json files and compare two of them.
 
     python3 tools/bench_record.py --label NAME
-        [--base-checkout DIR --base-label BASE] [--workloads W,...]
-        [--seeds 1,2,...,10]
+        [--base-checkout DIR] [--workloads W,...] [--seeds 1,2,...,10]
     python3 tools/bench_record.py --compare BENCH_BASE.json BENCH_NAME.json
 
 Recording runs ``python3 perfbench/run.py --workload W --seed N --seconds S
@@ -14,7 +13,7 @@ The workloads and the run length S come from ``BENCHMARK.json``;
 ``--workloads`` picks a subset of them.  With
 ``--base-checkout`` every run is paired with the same run of that checkout,
 the two alternating which goes first, and the base runs go to
-``BENCH_<base-label>.json``.
+``BENCH_pre_<label>.json``.
 
 ``--compare`` prints, per workload and end-to-end metric of
 ``BENCHMARK.json``, the base median and quartile spread, the new median,
@@ -214,7 +213,6 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("BASE", "NEW"))
     parser.add_argument("--label")
     parser.add_argument("--base-checkout", type=Path)
-    parser.add_argument("--base-label")
     parser.add_argument("--workloads", help="a subset of BENCHMARK.json's "
                         "workloads, comma-separated (default: all)")
     parser.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10")
@@ -230,12 +228,8 @@ def main(argv=None) -> int:
         print(format_digests(digests))
         return int(any(r["verdict"] == "regression" for r in rows)
                    or any(d["equal"] < d["pairs"] for d in digests))
-    if not args.label or (args.base_checkout is None) != (args.base_label is None):
-        parser.error("recording needs --label, and --base-label exactly "
-                     "when --base-checkout is given")
-    if args.base_label == args.label:
-        parser.error(f"--base-label must differ from --label: both sides "
-                     f"would write BENCH_{args.label}.json")
+    if not args.label:
+        parser.error("recording needs --label")
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
@@ -250,7 +244,7 @@ def main(argv=None) -> int:
 
     sides = [(ROOT, record(args.label, seconds))]
     if args.base_checkout is not None:
-        sides.append((args.base_checkout, record(args.base_label, seconds)))
+        sides.append((args.base_checkout, record(f"pre_{args.label}", seconds)))
     for i, seed in enumerate(seeds):
         for workload in workloads:
             for checkout, rec in sides[::-1] if i % 2 else sides:
