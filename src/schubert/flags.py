@@ -24,7 +24,7 @@ from math import factorial
 from operator import mul
 
 from .errors import DimensionMismatch, UnsupportedGroup
-from .linalg import (Matrix, _echelon, _exp_rows, _integer_rows,
+from .linalg import (Matrix, _echelon, _exp_rows, _integer_rows, _matrix,
                      _nilpotent_powers, _rational, _require_ints, rank)
 from .poly import PolyQ, _taylor_coefficients
 
@@ -139,8 +139,8 @@ def _flag_of(m: int, rows: list[list[int]], den: int) -> Flag:
         raise ValueError("flag rows are singular or not lower triangular")
     flag = object.__new__(Flag)
     object.__setattr__(flag, "ambient_dim", m)
-    object.__setattr__(flag, "basis", Matrix(
-        [[Fraction(x, den) for x in row] for row in rows], shape=(m, m)))
+    object.__setattr__(flag, "basis", _matrix(
+        [[Fraction(x, den) for x in row] for row in rows], m, m))
     flag.__dict__["_rows"] = tuple(map(tuple, rows))
     return flag
 
@@ -243,18 +243,13 @@ def gram_matrix(kind: GroupKind) -> BilinearForm:
     Sp(2n): anti-diagonal with +1 in the first n rows and -1 in the last n.
     SO(2n+1): anti-diagonal ones.  Cached per kind: the form is immutable.
     """
-    if kind.tag == "Sp":
-        m = kind.ambient_dim
-        n = kind.param
-        g = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(m):
-            g[i][m - 1 - i] = Fraction(1 if i < n else -1)
-        return BilinearForm("alternating", Matrix(g, shape=(m, m)))
-    if kind.tag == "SO_odd":
-        m = kind.ambient_dim
-        g = [[Fraction(int(i + j == m - 1)) for j in range(m)] for i in range(m)]
-        return BilinearForm("symmetric", Matrix(g, shape=(m, m)))
-    raise UnsupportedGroup(f"{kind} preserves no bilinear form here")
+    if kind.tag not in ("Sp", "SO_odd"):
+        raise UnsupportedGroup(f"{kind} preserves no bilinear form here")
+    m, sp = kind.ambient_dim, kind.tag == "Sp"
+    g = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        g[i][m - 1 - i] = Fraction(-1 if sp and i >= kind.param else 1)
+    return BilinearForm("alternating" if sp else "symmetric", _matrix(g, m, m))
 
 
 def is_isotropic_flag(flag: Flag, form: BilinearForm) -> bool:
@@ -271,7 +266,7 @@ def is_isotropic_flag(flag: Flag, form: BilinearForm) -> bool:
         raise DimensionMismatch(
             f"flag in dimension {m}, form in dimension {form.ambient_dim}")
     cols = list(zip(*flag._rows))
-    gram, _ = _integer_rows(form.gram.to_rows())
+    gram, _ = _integer_rows(form.gram._data)
     nonzeros = [[(b, g) for b, g in enumerate(row) if g] for row in gram]
     # column j of gram * basis, for the columns some pairing needs
     gcols = [[sum(g * col[b] for b, g in row) for row in nonzeros]
@@ -314,7 +309,7 @@ def principal_nilpotent(kind: GroupKind) -> Matrix:
     for i, v in enumerate(sub):
         if v:
             a[i + 1][i] = a[i + 1][i] + Fraction(v)
-    return Matrix(a, shape=(m, m))
+    return _matrix(a, m, m)
 
 
 def nilpotency_index(N: Matrix) -> int:

@@ -30,8 +30,9 @@ from typing import Iterable, Sequence
 from .errors import (DegenerateConfiguration, DimensionMismatch, InfinitelyMany,
                      NegativeExpectedDimension, NotInCellInterior, NotMember)
 from .flags import Flag
-from .linalg import (Matrix, _echelon, _integer_rows, _rational, _require_ints,
-                     _rref_rows, det, rank, solve_quadratic)
+from .linalg import (Matrix, _coerce, _echelon, _integer_rows, _matrix,
+                     _rational, _require_ints, _rref_rows, det, rank,
+                     solve_quadratic)
 
 __all__ = [
     "SchubertCondition",
@@ -234,11 +235,12 @@ def tangent_space(V: GrPoint, cond: SchubertCondition, F: Flag) -> TangentSpace:
             if p > r + 1 and c[r]:
                 mu_x = [x - c[r] * y for x, y in zip(mu_x, X[p - 1])]
         functionals[r] = _primitive(mu_x)
-    rows_out = [[x * y or _ZERO for x in _primitive(c[m:]) for y in q]
+    rows_out = [[_coerce(x * y or _ZERO)
+                 for x in _primitive(c[m:]) for y in q]
                 for c, i in zip(cols, cond.indices)
                 for r, q in functionals.items() if r >= i]
-    constraints = Matrix(rows_out, shape=(len(rows_out), k * (m - k)))
-    return TangentSpace(point=V, constraints=constraints)
+    return TangentSpace(point=V,
+                        constraints=_matrix(rows_out, len(rows_out), k * (m - k)))
 
 
 @dataclass(frozen=True)
@@ -260,9 +262,9 @@ def transversality_certificate(
             T = tangent_space(V, cond, F)
         except NotInCellInterior as e:
             raise NotInCellInterior(f"condition {idx}: {e}") from None
-        rows.extend(T.constraints.to_rows())
+        rows.extend(T.constraints._data)
         total += codim(cond)
-    r = rank(Matrix(rows, shape=(len(rows), k * (m - k))))
+    r = len(_echelon(_integer_rows(rows)[0], k * (m - k))[0])
     return TransversalityCertificate(transverse=(r == total),
                                      tangent_codim=r, codim_sum=total)
 
@@ -301,7 +303,7 @@ def small_solver_gr24(flags: Sequence[Flag]) -> list[GrPoint]:
 
     def pencil_matrix(cplane: Matrix) -> list[list]:
         c1, c2 = cplane.column(0), cplane.column(1)
-        return [[det(Matrix.from_columns([ap, bq, c1, c2], rows=4))
+        return [[det(Matrix.from_columns([ap, bq, c1, c2]))
                  for bq in (b1, b2)] for ap in (a1, a2)]
 
     M = pencil_matrix(planes[2])
@@ -333,7 +335,7 @@ def small_solver_gr24(flags: Sequence[Flag]) -> list[GrPoint]:
         y0, y1 = u[1], -u[0]
         col_a = [x0 * a1[r] + x1 * a2[r] for r in range(4)]
         col_b = [y0 * b1[r] + y1 * b2[r] for r in range(4)]
-        out.append(GrPoint(Matrix.from_columns([col_a, col_b], rows=4)))
+        out.append(GrPoint(Matrix.from_columns([col_a, col_b])))
     return out
 
 

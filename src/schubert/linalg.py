@@ -8,15 +8,16 @@ otherwise; ``rref``, ``kernel`` and ``inverse`` add one backward pass on
 the matrix's own scalars.  Whether exact input is scaled to integer rows
 or passed through as irrational is decided in one place,
 :func:`_integer_rows`, for the whole input at once; rational input is
-scaled by its one common denominator.  The private routines
-reduce row lists in place; a :class:`Matrix` is built only where a public
-function returns one.  What counts as an exact rational is decided in one
-place too, :func:`_rational`: every Matrix or PolyQ entry, QuadExt part
-and rational parameter of the package goes through it, and a float, str
-or bool raises TypeError.  Beside it, :func:`_require_ints` is the one
-test of a size: every size a public entry point takes is an int, not a
-bool.  A rational is always a Fraction and a QuadExt always irrational:
-only ``QuadExt(...)`` and the arithmetic's :func:`_of` decide which.
+scaled by its one common denominator.  The private routines reduce row
+lists in place; a :class:`Matrix` is built only where a public function
+returns one, by the trusted :func:`_matrix` from the package's scalars.
+What counts as an exact rational is decided in one place too,
+:func:`_rational`: every Matrix entry from outside, PolyQ entry, QuadExt
+part and rational parameter goes through it, and a float, str or bool
+raises TypeError.  Beside it, :func:`_require_ints` is the one test of a
+size: every size a public entry point takes is an int, not a bool.  A
+rational is always a Fraction and a QuadExt always irrational: only
+``QuadExt(...)`` and the arithmetic's :func:`_of` decide which.
 """
 
 from __future__ import annotations
@@ -249,46 +250,37 @@ def _coerce(x) -> Scalar:
 
 
 class Matrix:
-    """Immutable dense matrix of exact scalars."""
+    """Immutable dense matrix of exact scalars, each entry checked."""
 
     __slots__ = ("_data", "_rows", "_cols")
 
-    def __init__(self, rows: Iterable[Iterable], shape: tuple[int, int] | None = None):
+    def __init__(self, rows: Iterable[Iterable]):
         data = tuple(tuple(_coerce(x) for x in row) for row in rows)
-        if shape is None:
-            r = len(data)
-            c = len(data[0]) if r else 0
-        else:
-            r, c = shape
-            _require_ints("the shape", r, c)
-            if len(data) != r:
-                raise ValueError("row count does not match declared shape")
-        for row in data:
-            if len(row) != c:
-                raise ValueError("ragged rows in matrix literal")
+        c = len(data[0]) if data else 0
+        if any(len(row) != c for row in data):
+            raise ValueError("ragged rows in matrix literal")
         self._data = data
-        self._rows = r
+        self._rows = len(data)
         self._cols = c
 
     # -- construction --------------------------------------------------------
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         _require_ints("the size", n)
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)],
-                   shape=(n, n))
+        if n < 0:
+            raise ValueError(f"negative size {n}")
+        return _matrix([[Fraction(i == j) for j in range(n)] for i in range(n)],
+                       n, n)
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Sequence], rows: int | None = None) -> "Matrix":
-        if rows is None:
-            if not cols:
-                raise ValueError("cannot infer row count from zero columns")
-            rows = len(cols[0])
-        _require_ints("the row count", rows)
-        for col in cols:
-            if len(col) != rows:
-                raise ValueError("ragged columns")
-        return cls([[col[i] for col in cols] for i in range(rows)],
-                   shape=(rows, len(cols)))
+    def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
+        if not cols:
+            raise ValueError("cannot infer row count from zero columns")
+        rows = len(cols[0])
+        if any(len(col) != rows for col in cols):
+            raise ValueError("ragged columns")
+        return _matrix([[_coerce(col[i]) for col in cols] for i in range(rows)],
+                       rows, len(cols))
 
     # -- shape / access -------------------------------------------------------
     @property
@@ -314,32 +306,32 @@ class Matrix:
 
     def take_columns(self, idxs: Iterable[int]) -> "Matrix":
         idxs = list(idxs)
-        return Matrix([[row[j] for j in idxs] for row in self._data],
-                      shape=(self._rows, len(idxs)))
+        return _matrix([[row[j] for j in idxs] for row in self._data],
+                       self._rows, len(idxs))
 
     # -- algebra ---------------------------------------------------------------
     def transpose(self) -> "Matrix":
-        return Matrix([[self._data[i][j] for i in range(self._rows)]
-                       for j in range(self._cols)], shape=(self._cols, self._rows))
+        return _matrix([[self._data[i][j] for i in range(self._rows)]
+                        for j in range(self._cols)], self._cols, self._rows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self._rows != other._rows:
             raise ValueError("hstack needs equal row counts")
-        return Matrix([ra + rb for ra, rb in zip(self._data, other._data)],
-                      shape=(self._rows, self._cols + other._cols))
+        return _matrix([ra + rb for ra, rb in zip(self._data, other._data)],
+                       self._rows, self._cols + other._cols)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self._rows, self._cols) != (other._rows, other._cols):
             raise ValueError("shape mismatch in matrix addition")
-        return Matrix([[x + y for x, y in zip(ra, rb)]
-                       for ra, rb in zip(self._data, other._data)],
-                      shape=(self._rows, self._cols))
+        return _matrix([[x + y for x, y in zip(ra, rb)]
+                        for ra, rb in zip(self._data, other._data)],
+                       self._rows, self._cols)
 
     def __neg__(self):
-        return Matrix([[-x for x in row] for row in self._data],
-                      shape=(self._rows, self._cols))
+        return _matrix([[-x for x in row] for row in self._data],
+                       self._rows, self._cols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -347,8 +339,8 @@ class Matrix:
         if self._cols != other._rows:
             raise ValueError("shape mismatch in matrix product")
         bt = other.transpose()._data
-        return Matrix([[_dot(row, col) for col in bt] for row in self._data],
-                      shape=(self._rows, other._cols))
+        return _matrix([[_dot(row, col) for col in bt] for row in self._data],
+                       self._rows, other._cols)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -365,6 +357,16 @@ class Matrix:
     def __str__(self):
         return "\n".join("[" + "  ".join(str(x) for x in row) + "]"
                          for row in self._data)
+
+
+def _matrix(rows: Iterable[Iterable[Scalar]], r: int, c: int) -> Matrix:
+    """The r x c Matrix of ``rows``, Fractions or QuadExts the package
+    built, stored with no check: the trusted path beside ``Matrix(rows)``.
+    A Matrix with no rows keeps its column count c."""
+    M = object.__new__(Matrix)
+    M._data = tuple(map(tuple, rows))
+    M._rows, M._cols = r, c
+    return M
 
 
 def _dot(xs, ys):
@@ -444,7 +446,7 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
     a = M.to_rows()
     pivots = _rref_rows(a, M.cols)
-    return Matrix(a, shape=(M.rows, M.cols)), tuple(pivots)
+    return _matrix(a, M.rows, M.cols), tuple(pivots)
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list], int]:
@@ -479,7 +481,7 @@ def kernel(M: Matrix) -> Matrix:
     rows = [[Fraction(c == f) for f in free] for c in range(M.cols)]
     for r, c in enumerate(pivots):
         rows[c] = [-a[r][f] for f in free]
-    return Matrix(rows, shape=(M.cols, len(free)))
+    return _matrix(rows, M.cols, len(free))
 
 
 def inverse(M: Matrix) -> Matrix:
@@ -490,7 +492,7 @@ def inverse(M: Matrix) -> Matrix:
          for i, row in enumerate(M.to_rows())]
     if _rref_rows(a, 2 * n) != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix([row[n:] for row in a], shape=(n, n))
+    return _matrix([row[n:] for row in a], n, n)
 
 
 def det(M: Matrix) -> Scalar:
@@ -575,8 +577,8 @@ def exp_nilpotent(N: Matrix, t) -> Matrix:
     t = _rational(t)
     D, powers = _nilpotent_powers(N)
     rows, den = _exp_rows(D, powers, N.rows, t)
-    return Matrix([[Fraction(x, den) if isinstance(x, int) else x / den
-                    for x in row] for row in rows], shape=(N.rows, N.rows))
+    return _matrix([[Fraction(x, den) if isinstance(x, int) else x / den
+                     for x in row] for row in rows], N.rows, N.rows)
 
 
 def solve_quadratic(a, b, c) -> list[Scalar]:

@@ -220,7 +220,7 @@ def plane_to_grpoint(plane: PolyPlane) -> GrPoint:
         col = [c[m - 1 - j] * Fraction((-1) ** j, comb(m - 1, j))
                for j in range(m)]
         cols.append(col)
-    return GrPoint(Matrix.from_columns(cols, rows=m))
+    return GrPoint(Matrix.from_columns(cols))
 
 
 def wronski_solver_gr24(roots) -> list[PolyPlane]:

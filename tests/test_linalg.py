@@ -47,6 +47,21 @@ def _random_matrix(rng, rows, cols, lo=-2, hi=2):
                    for _ in range(rows)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Matrix([[1, 2], [3]]),
+    lambda: Matrix.from_columns([[1, 2], [3]]),
+    lambda: Matrix.from_columns([]),
+    lambda: Matrix.identity(-1),
+    lambda: Matrix([[1]]).hstack(Matrix([[1], [2]])),
+    lambda: Matrix([[1]]) + Matrix([[1, 2]]),
+    lambda: Matrix([[1, 2]]) * Matrix([[1, 2]]),
+], ids=["ragged rows", "ragged columns", "no columns", "negative size",
+        "hstack rows", "sum shapes", "product shapes"])
+def test_matrix_checks_its_shapes(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 # -- rank / kernel / inverse / det --------------------------------------------
 
 

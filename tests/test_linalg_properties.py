@@ -2,7 +2,8 @@
 
 Small matrices over Q and Q(sqrt(d)) are generated by hypothesis; rank,
 det, rref with its pivots, nullity, M * kernel(M) == 0 and inverse are
-compared with the same operations over sympy's QQ or QQ<sqrt(d)>.  QuadExt
+compared with the same operations over sympy's QQ or QQ<sqrt(d)>, and
+rref, kernel and inverse hold only Fraction or QuadExt entries.  QuadExt
 is checked against the field axioms, against Fraction for rational values
 (== and hash), across the square splits of one d, and for one form per
 value: a result of QuadExt(...), the arithmetic or solve_quadratic is a
@@ -81,7 +82,15 @@ def matrices(draw, square=False):
         coeffs = [entry() for _ in range(nr - 1)]
         rows[-1] = [sum((c * row[j] for c, row in zip(coeffs, rows)), F(0))
                     for j in range(nc)]
-    return Matrix(rows, shape=(nr, nc)), d
+    return Matrix(rows), d
+
+
+def _package_built(M):
+    """Only Fraction or QuadExt entries, and equal to Matrix(M.to_rows()),
+    as every Matrix the package returns must be."""
+    rows = M.to_rows()
+    return (all(type(x) in (Fraction, QuadExt) for row in rows for x in row)
+            and Matrix(rows) == M)
 
 
 @SETTINGS
@@ -96,6 +105,7 @@ def test_rank_rref_kernel_match_sympy(case):
     assert pivots == tuple(ref_pivots)
     assert _dm(R, d) == ref_R
     K = kernel(M)
+    assert _package_built(R) and _package_built(K)
     assert K.rows == M.cols and K.cols == M.cols - r
     assert K.cols == ref.nullspace().shape[0]
     if K.cols:
@@ -112,6 +122,7 @@ def test_det_inverse_match_sympy(case):
     assert _to_sympy(det(M), d) == ref_det
     if ref_det:
         assert _dm(inverse(M), d) == ref.inv()
+        assert _package_built(inverse(M))
     else:
         with pytest.raises(ValueError):
             inverse(M)

@@ -93,11 +93,7 @@ def test_exact_entries_pass_through_unchanged():
 # entry point -> a call with the size n in one place; each is run with
 # n = 2.0 and n = True
 SIZED_ENTRY_POINTS = {
-    "Matrix shape rows": lambda n: Matrix([[1, 2], [3, 4]], shape=(n, 2)),
-    "Matrix shape cols": lambda n: Matrix([[1, 2], [3, 4]], shape=(2, n)),
     "Matrix.identity": Matrix.identity,
-    "Matrix.from_columns rows":
-        lambda n: Matrix.from_columns([[1, 0], [0, 1]], rows=n),
     "PolyQ.monomial": PolyQ.monomial,
     "iota k": lambda n: iota(n, 4),
     "iota m": lambda n: iota(1, n),

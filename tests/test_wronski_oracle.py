@@ -35,7 +35,7 @@ def _jet_pivots(plane, t0):
             vals.append(p(t0))
             p = p.derivative()
         rows.append(vals)
-    return rref(Matrix(rows, shape=(plane.k, plane.m)))[1]
+    return rref(Matrix(rows))[1]
 
 
 def _seeded_planes():

@@ -240,6 +240,8 @@ def main(argv=None) -> int:
     workloads = args.workloads.split(",") if args.workloads else names
     if not set(workloads) <= set(names):
         parser.error(f"--workloads must be among {', '.join(names)}")
+    if len(set(workloads)) != len(workloads):
+        parser.error(f"--workloads repeats a workload: {args.workloads}")
     seconds = spec["run_seconds"]
 
     sides = [(ROOT, record(args.label, seconds))]
