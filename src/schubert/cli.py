@@ -27,7 +27,7 @@ from .grassmann import (PermCondition, SchubertCondition, condition_codim,
                         expected_dim_report, flag_manifold_dim, iota,
                         pad_to_zero_dimensional, small_solver_gr24,
                         transversality_certificate)
-from .wronski import _eh_report, random_plane, wronskian
+from .wronski import _eh_report, _scaled_wronskian, random_plane
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
@@ -200,7 +200,7 @@ def cmd_eh_check(args):
     checked = 0
     for idx in range(args.samples):
         plane = random_plane(k, m, rng)
-        W = wronskian(plane)
+        W = _scaled_wronskian(plane)
         for t in ts:
             rep = _eh_report(plane, W, t)
             checked += 1

@@ -29,9 +29,13 @@ def _taylor_coefficients(cs: Sequence, t0: Fraction) -> Iterator:
 
     Each h_j is the remainder of one synthetic division by the monic x - u,
     starting from v^d * p(x/v), so a caller that stops early pays only for
-    what it reads.  The ring operations keep Z (or Q(sqrt(d))).
+    what it reads.  The ring operations keep Z (or Q(sqrt(d))).  At t0 = 0
+    (u = 0, v = 1) h_j is cs[j], yielded as it is.
     """
     u, v = t0.numerator, t0.denominator
+    if not u:
+        yield from cs
+        return
     g = [c * v ** i for i, c in enumerate(reversed(cs))]  # highest degree first
     while g:
         carry, q = 0, []

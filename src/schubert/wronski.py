@@ -19,8 +19,10 @@ Everything runs over Z.  A plane scales its basis to integer coefficient
 rows once, when it is built; the Wronskian, the vanishing orders of the
 plane and the root orders of a polynomial all read integer rows.  The
 Wronskian is a Cauchy-Binet sum over the maximal minors of the rows, the
-plane's Pluecker coordinates, with Vandermonde weights.  Both
-orders come from one expansion, :func:`poly._taylor_coefficients`: the
+plane's Pluecker coordinates, with Vandermonde weights: D^k * W over Z for
+rows scaled by D.  :func:`wronskian` divides it by D^k; the Eisenbud-Harris
+check reads the undivided sum, since a nonzero scale changes no root order.
+Both orders come from one expansion, :func:`poly._taylor_coefficients`: the
 Taylor coefficients at t0 = u/v, scaled by powers of v to stay integers.
 A plane over Q(sqrt(d)) keeps its own coefficients and runs the same ring
 operations on them.
@@ -111,21 +113,20 @@ def _cauchy_binet_table(k: int, m: int) -> tuple[list, list]:
     return steps, terms
 
 
-def wronskian(plane: PolyPlane) -> PolyQ:
-    """det of the k x k matrix of derivatives (row a holds the a-th derivative).
+def _scaled_wronskian(plane: PolyPlane) -> list:
+    """The coefficients of D^k * W, lowest degree first, padded to degree
+    k*(m-k); W is the plane's Wronskian and D its ``_scale``.
 
-    Nonzero for any plane, of degree at most k*(m-k) after the forced factor
-    structure; invariant up to scale under change of basis.  By Cauchy-Binet
-    on W = det(A M(t)), with A the plane's k x m coefficient rows scaled by
-    its common denominator D (integers unless the plane is irrational) and
-    M(t)[j][b] the b-th derivative of t^j,
+    By Cauchy-Binet on W = det(A M(t)), with A the plane's k x m coefficient
+    rows scaled by D (integers unless the plane is irrational) and M(t)[j][b]
+    the b-th derivative of t^j,
 
         D^k * W(t) = sum over k-subsets S of columns of
             Delta_S(A) * prod_{a < b in S} (b - a) * t^(sum(S) - k(k-1)/2).
 
     The maximal minors Delta_S come from one pass over the rows, each
     expanding the minors of the rows before it along itself; zero entries
-    and zero minors are skipped.  The sum is divided once by D^k.
+    and zero minors are skipped.
     """
     k, m = plane.k, plane.m
     steps, terms = _cauchy_binet_table(k, m)
@@ -144,22 +145,43 @@ def wronskian(plane: PolyPlane) -> PolyQ:
     for minor, (e, weight) in zip(minors, terms):
         if minor:
             out[e] += weight * minor
-    scale = Fraction(plane._scale ** k)
-    return PolyQ([c / scale for c in out])
+    return out
+
+
+def wronskian(plane: PolyPlane) -> PolyQ:
+    """det of the k x k matrix of derivatives (row a holds the a-th derivative).
+
+    Nonzero for any plane, of degree at most k*(m-k) after the forced factor
+    structure; invariant up to scale under change of basis.  It is the
+    integer Cauchy-Binet sum of :func:`_scaled_wronskian` divided once by
+    D^k; the eh-check reads that sum undivided.
+    """
+    scale = Fraction(plane._scale ** plane.k)
+    return PolyQ([c / scale for c in _scaled_wronskian(plane)])
+
+
+def _root_order(cs: list, t0: Fraction) -> int:
+    """The index of the first nonzero :func:`_taylor_coefficients` of the
+    coefficient list cs at t0: the multiplicity of t0 as a root.  A nonzero
+    scale of cs, or zero padding above its degree, leaves it unchanged.
+    """
+    for j, h in enumerate(_taylor_coefficients(cs, t0)):
+        if h:
+            return j
+    raise ZeroPolynomial("the zero polynomial vanishes to all orders")
 
 
 def vanishing_order(f: PolyQ, t0) -> int:
     """Multiplicity of t0 as a root of f; 0 when f(t0) != 0.
 
-    The index of the first nonzero Taylor coefficient of f at t0, read from
-    :func:`_taylor_coefficients` on f scaled to integer coefficients (or
-    kept over Q(sqrt(d))); the expansion stops there.
+    :func:`_root_order` of f scaled to integer coefficients (or kept over
+    Q(sqrt(d))); the expansion stops at the first nonzero Taylor
+    coefficient.  The eh-check hands the integer sum D^k * W of
+    :func:`_scaled_wronskian` to :func:`_root_order` undivided.
     """
     t0 = _rational(t0)
-    if f.is_zero:
-        raise ZeroPolynomial("the zero polynomial vanishes to all orders")
     (cs,), _ = _integer_rows([f.coeffs])
-    return next(j for j, h in enumerate(_taylor_coefficients(cs, t0)) if h)
+    return _root_order(cs, t0)
 
 
 def plane_vanishing_orders(plane: PolyPlane, t0) -> tuple[int, ...]:
@@ -194,17 +216,19 @@ class EHReport:
     equal: bool
 
 
-def _eh_report(plane: PolyPlane, W: PolyQ, t0) -> EHReport:
-    """check_eh_identity with the plane's Wronskian W given, so that a
-    caller checking many points computes it once."""
+def _eh_report(plane: PolyPlane, W: list, t0) -> EHReport:
+    """check_eh_identity with W = :func:`_scaled_wronskian` of the plane
+    given, so that a caller checking many points computes it once.  The
+    scale D^k changes no root order, so W stays undivided."""
+    t0 = _rational(t0)
     c = codim(ramification_condition(plane, t0))
-    w = vanishing_order(W, t0)
+    w = _root_order(W, t0)
     return EHReport(codim=c, wronski_order=w, equal=(c == w))
 
 
 def check_eh_identity(plane: PolyPlane, t0) -> EHReport:
     """Compare the ramification codimension with the Wronskian's root order."""
-    return _eh_report(plane, wronskian(plane), t0)
+    return _eh_report(plane, _scaled_wronskian(plane), t0)
 
 
 def plane_to_grpoint(plane: PolyPlane) -> GrPoint:

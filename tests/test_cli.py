@@ -456,7 +456,9 @@ def test_elimination_commands_match_recorded_bytes(capsys):
     # stdout and exit code recorded from the implementation with separate
     # Bareiss, Gauss-Jordan, det and column-reduction loops: Q(sqrt d)
     # solutions and their certificates, a degenerate instance, and
-    # Eisenbud-Harris verdicts
+    # Eisenbud-Harris verdicts; the last, at points u/v with v != 1, from
+    # the one that divided the Wronskian into Fractions before its root
+    # orders
     golden = Path(__file__).with_name("data") / "engine_cli_golden.json"
     for case in json.loads(golden.read_text(encoding="utf-8")):
         code, out = run_cli(capsys, *case["argv"])

@@ -8,18 +8,26 @@ evaluated at t0, and `vanishing_order` with repeated Fraction division by
 from powers of (t - t0), and on a Q(sqrt(13)) plane of the Gr(2, 4) Wronski
 solver.  `wronskian` is also compared with the Laplace expansion of the
 k x k grid of derivatives that it replaced, for every 1 <= k <= m <= 8.
+The eh-check route, `_eh_report` on the undivided integer Wronskian of
+`_scaled_wronskian`, is compared with the public route and with both
+oracles, on seeded planes for every 1 <= k < m <= 8, on planted planes and
+on Q(sqrt(d)) solver planes.
 """
 
 import random
 from dataclasses import fields
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from schubert.errors import ZeroPolynomial
+from schubert.grassmann import codim
 from schubert.linalg import Matrix, QuadExt, rref
 from schubert.poly import PolyQ, _poly_mul, _taylor_coefficients
-from schubert.wronski import (PolyPlane, plane_vanishing_orders, random_plane,
+from schubert.wronski import (PolyPlane, _eh_report, _root_order,
+                              _scaled_wronskian, plane_vanishing_orders,
+                              ramification_condition, random_plane,
                               vanishing_order, wronski_solver_gr24, wronskian)
 
 F = Fraction
@@ -249,3 +257,94 @@ def test_plane_identity_ignores_scaled_rows():
         assert twin == p and hash(twin) == hash(p)
         assert repr(twin) == repr(p) == (
             f"PolyPlane(m={p.m}, k={p.k}, basis={p.basis!r})")
+
+
+def _derivative_taylor(row, t0):
+    # h_j = v^(d-j) * p^(j)(t0) / j! through PolyQ.derivative and evaluation
+    p, d, v = PolyQ(row), len(row) - 1, t0.denominator
+    out = []
+    for j in range(d + 1):
+        out.append(p(t0) / factorial(j) * v ** (d - j))
+        p = p.derivative()
+    return out
+
+
+def test_taylor_coefficients_match_derivatives():
+    # at t0 = 0 (the shortcut h_j = cs[j]) and at nonzero t0, over Z and
+    # over Q(sqrt(13))
+    surds = _sqrt13_plane()._rows
+    assert any(isinstance(c, QuadExt) and c.d == 13 for row in surds for c in row)
+    rows = ([row for plane in _seeded_planes() for row in plane._rows]
+            + surds + [[0], [5], [0, 0, 3, 0], [-4, 0, 0]])
+    for row in rows:
+        for t0 in (F(0), F(1), F(-2), F(1, 3), F(-4, 5), F(7, 2)):
+            hs = list(_taylor_coefficients(row, t0))
+            assert hs == _derivative_taylor(row, t0), (row, t0)
+            if all(type(c) is int for c in row):
+                assert all(type(h) is int for h in hs), (row, t0)
+        assert list(_taylor_coefficients(row, F(0))) == row
+
+
+def test_vanishing_orders_at_zero_leave_plane_rows_alone():
+    # at t0 = 0 the Taylor coefficients are the entries of the plane's own
+    # rows, which the elimination of the jet rows must not reach
+    planes = (_seeded_planes() + [p for p, _ in _power_planes()]
+              + [_sqrt13_plane()])
+    for plane in planes:
+        before = [list(row) for row in plane._rows]
+        orders = plane_vanishing_orders(plane, F(0))
+        assert plane._rows == before, plane
+        assert plane_vanishing_orders(plane, 0) == orders
+
+
+@pytest.mark.parametrize("t0", [F(0), F(1), F(1, 3), F(-4, 5)])
+def test_root_order_of_zero_list_raises_zero_polynomial(t0):
+    for cs in ([], [0], [0, 0, 0], [F(0), 0]):
+        with pytest.raises(ZeroPolynomial):
+            _root_order(cs, t0)
+    with pytest.raises(ZeroPolynomial):
+        vanishing_order(PolyQ([]), t0)
+    with pytest.raises(ZeroPolynomial):
+        vanishing_order(PolyQ([]), 0)
+
+
+EH_POINTS = (F(0), F(1), F(-2), F(1, 3), F(-4, 5))
+
+
+def _eh_cases():
+    """(plane, points): seeded planes for every 1 <= k < m <= 8, planted
+    planes with their deep point added, and the Q(sqrt(d)) solver planes
+    with their four roots added."""
+    rng = random.Random(89)
+    seeded = [(random_plane(k, m, rng), EH_POINTS)
+              for m in range(2, 9) for k in range(1, m)]
+    planted = [(plane, EH_POINTS + (t0,)) for plane, t0 in _power_planes()]
+    solver = [(plane, EH_POINTS + tuple(F(r) for r in roots))
+              for roots in ([0, 1, 2, 3], [0, 1, -1, 5], [F(1, 2), 2, 3, -7],
+                            [1, -2, F(1, 3), F(-4, 5)])
+              for plane in wronski_solver_gr24(roots)]
+    assert all(any(isinstance(c, QuadExt) for p in plane.basis for c in p.coeffs)
+               for plane, _ in solver)
+    return seeded + planted + solver
+
+
+def test_eh_report_on_scaled_wronskian_matches_public_route():
+    ramified = 0
+    for plane, points in _eh_cases():
+        W = wronskian(plane)
+        scaled = _scaled_wronskian(plane)
+        D = F(plane._scale ** plane.k)
+        padded = list(W.coeffs) + [0] * (len(scaled) - len(W.coeffs))
+        assert [c / D for c in scaled] == padded, plane
+        for t0 in points:
+            rep = _eh_report(plane, scaled, t0)
+            public = (codim(ramification_condition(plane, t0)),
+                      vanishing_order(W, t0))
+            # the jet-matrix pivots a_0 < ... < a_(k-1) have codim
+            # sum(a_i - i); repeated division reads the root order
+            oracle = (sum(a - i for i, a in enumerate(_jet_pivots(plane, t0))),
+                      _divide_linear_order(W, t0))
+            assert (rep.codim, rep.wronski_order) == public == oracle, (plane, t0)
+            assert rep.equal
+            ramified += rep.wronski_order > 0
+    assert ramified >= 60
