@@ -15,17 +15,17 @@ The vanishing orders of P at t0 reproduce the order of vanishing of the
 Wronskian there: ord(W, t0) equals the codimension of the ramification
 condition of P at t0.
 
-Everything runs over Z.  A plane scales its basis to integer coefficient
-rows once, when it is built; the Wronskian, the vanishing orders of the
-plane and the root orders of a polynomial all read integer rows.  The
-Wronskian is a Cauchy-Binet sum over the maximal minors of the rows, the
-plane's Pluecker coordinates, with Vandermonde weights: D^k * W over Z for
-rows scaled by D.  :func:`wronskian` divides it by D^k; the Eisenbud-Harris
-check reads the undivided sum, since a nonzero scale changes no root order.
+Everything runs over Z.  A plane's primary form is its integer coefficient
+rows, from which a drawn plane builds its basis on first read; the
+Wronskian, the plane's vanishing orders and a polynomial's root orders all
+read integer rows.  The Wronskian is a Cauchy-Binet sum over the maximal
+minors of the rows, the plane's Pluecker coordinates, with Vandermonde
+weights: D^k * W over Z for rows scaled by D.  :func:`wronskian` divides it
+by D^k; the Eisenbud-Harris check reads the undivided sum, as a nonzero
+scale changes no root order, and the codimension from the vanishing orders.
 Both orders come from one expansion, :func:`poly._taylor_coefficients`: the
 Taylor coefficients at t0 = u/v, scaled by powers of v to stay integers.
-A plane over Q(sqrt(d)) keeps its own coefficients and runs the same ring
-operations on them.
+A plane over Q(sqrt(d)) runs the same ring operations on its own entries.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, prod
+from math import comb, gcd, lcm, prod
 
 from .errors import DegenerateConfiguration, ZeroPolynomial
-from .grassmann import GrPoint, SchubertCondition, codim
+from .grassmann import GrPoint, SchubertCondition
 from .linalg import (Matrix, _echelon, _integer_rows, _rational, _require_ints,
                      solve_quadratic)
 from .poly import PolyQ, _taylor_coefficients
@@ -61,10 +61,10 @@ __all__ = [
 class PolyPlane:
     """A k-dimensional space of polynomials of degree < m.
 
-    The basis goes through :func:`_integer_rows` once, here: ``_rows`` holds
-    its coefficient rows (lowest degree first, padded to m), all scaled by
-    their common denominator ``_scale``.  Neither takes part in equality,
-    hashing or the repr.
+    ``_rows`` holds the basis's coefficient rows (lowest degree first, padded
+    to m), all scaled by their common denominator ``_scale``: built from the
+    basis here, or taken by :func:`_plane_of`, whose basis is built from them
+    on first read.  Neither takes part in equality, hashing or the repr.
     """
 
     m: int
@@ -79,6 +79,8 @@ class PolyPlane:
         if self.k < 1 or len(self.basis) != self.k:
             raise ValueError("basis size must equal k >= 1")
         for p in self.basis:
+            if not isinstance(p, PolyQ):
+                raise TypeError(f"basis entry is a {type(p).__name__}, not a PolyQ")
             if p.degree() >= self.m:
                 raise ValueError(f"degree {p.degree()} is not below m = {self.m}")
         rows, scale = _integer_rows([p.coeffs for p in self.basis])
@@ -87,6 +89,20 @@ class PolyPlane:
             raise ValueError("basis polynomials are linearly dependent")
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_scale", scale)
+
+    def __getattr__(self, name):  # only for names not stored: a lazy basis
+        if name != "basis":
+            raise AttributeError(f"'PolyPlane' object has no attribute {name!r}")
+        self.__dict__["basis"] = basis = tuple(
+            PolyQ([Fraction(x, self._scale) for x in row]) for row in self._rows)
+        return basis
+
+
+def _plane_of(m: int, k: int, rows: list[list[int]], scale: int) -> PolyPlane:
+    """The PolyPlane of k independent int ``rows`` (length m) over ``scale``."""
+    plane = object.__new__(PolyPlane)
+    plane.__dict__.update(m=m, k=k, _rows=rows, _scale=scale)
+    return plane
 
 
 @lru_cache(maxsize=8)
@@ -218,10 +234,10 @@ class EHReport:
 
 def _eh_report(plane: PolyPlane, W: list, t0) -> EHReport:
     """check_eh_identity with W = :func:`_scaled_wronskian` of the plane
-    given, so that a caller checking many points computes it once.  The
-    scale D^k changes no root order, so W stays undivided."""
+    given, so that a caller checking many points computes it once; a scale
+    changes no root order.  Codimension: sum of the orders - k(k-1)/2."""
     t0 = _rational(t0)
-    c = codim(ramification_condition(plane, t0))
+    c = sum(plane_vanishing_orders(plane, t0)) - plane.k * (plane.k - 1) // 2
     w = _root_order(W, t0)
     return EHReport(codim=c, wronski_order=w, equal=(c == w))
 
@@ -281,17 +297,16 @@ def wronski_solver_gr24(roots) -> list[PolyPlane]:
 
 
 def random_plane(k: int, m: int, rng: random.Random) -> PolyPlane:
-    """A seeded random k-plane of polynomials of degree < m; raises
+    """A seeded random k-plane of polynomials of degree < m, coefficients a/b
+    drawn a then b in [-9, 9] x [1, 9], kept as integer rows; raises
     ValueError unless 1 <= k <= m, before the first draw."""
     _require_ints("k and m", k, m)
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     while True:
-        polys = tuple(
-            PolyQ([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                   for _ in range(m)])
-            for _ in range(k))
-        try:
-            return PolyPlane(m, k, polys)
-        except ValueError:
-            continue
+        draws = [[(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+                 for _ in range(k)]
+        D = lcm(*(b // gcd(a, b) for row in draws for a, b in row))
+        rows = [[a * D // b for a, b in row] for row in draws]
+        if len(_echelon([list(row) for row in rows], m)[0]) == k:
+            return _plane_of(m, k, rows, D)
