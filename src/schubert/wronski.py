@@ -297,9 +297,9 @@ def wronski_solver_gr24(roots) -> list[PolyPlane]:
 
 
 def random_plane(k: int, m: int, rng: random.Random) -> PolyPlane:
-    """A seeded random k-plane of polynomials of degree < m, coefficients a/b
-    drawn a then b in [-9, 9] x [1, 9], kept as integer rows; raises
-    ValueError unless 1 <= k <= m, before the first draw."""
+    """A seeded random k-plane of degree < m polynomials: integer rows of
+    draws a/b, a then b in [-9, 9] x [1, 9], its basis built on first read.
+    Raises ValueError unless 1 <= k <= m, before the first draw."""
     _require_ints("k and m", k, m)
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")

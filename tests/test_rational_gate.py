@@ -7,7 +7,8 @@ Fraction and raise TypeError for a float, a str or a bool.  Every size a
 public entry point takes (of conditions, permutation conditions, groups,
 flags, flag manifolds, ambient dimensions, matrices, monomials,
 polynomial planes and ``QuadExt``'s d) is an int that is not a bool, or
-the size gate raises its TypeError.
+the size gate raises its TypeError.  A polynomial plane's basis entries are
+``PolyQ``s, or its constructor raises a TypeError naming the entry's type.
 """
 
 import random
@@ -141,3 +142,15 @@ def test_int_sizes_still_answer():
     assert flag_manifold_dim([1, 2], 3) == 3
     assert expected_dim_report([SchubertCondition(2, 4, (2, 4))], 4).expected == 3
     assert PermCondition(4, (1, 3, 2, 4), (2,)).perm == (1, 3, 2, 4)
+
+
+@pytest.mark.parametrize("entry", [[1, 2], (1, 2), Fraction(1, 2), 3, "t", None],
+                         ids=["list", "tuple", "Fraction", "int", "str", "None"])
+def test_plane_basis_entries_must_be_polynomials(entry):
+    # a coefficient list is not a polynomial: the type is named, where it
+    # once failed on a missing .degree()
+    want = f"basis entry is a {type(entry).__name__}, not a PolyQ"
+    with pytest.raises(TypeError, match=want):
+        PolyPlane(4, 1, (entry,))
+    with pytest.raises(TypeError, match=want):
+        PolyPlane(4, 2, (PolyQ([1]), entry))
