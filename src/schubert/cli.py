@@ -425,10 +425,13 @@ def _inline(v) -> str:
 
 
 def _emit(payload, fmt: str) -> None:
-    if fmt == "plain":
-        sys.stdout.write("\n".join(_render_plain(payload)) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a QuadExt's int d prints in full
+    try:
+        sys.stdout.write(("\n".join(_render_plain(payload)) if fmt == "plain"
+                          else json.dumps(payload, indent=2)) + "\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _error(e: Exception) -> dict:

@@ -154,11 +154,9 @@ class QuadExt:
         return QuadExt, (self.a, self.b, self.d)
 
     # -- helpers -----------------------------------------------------------
-    def _parts(self, other) -> tuple:
+    def _parts(self, other: "QuadExt") -> tuple:
         """other's a and b over the common d.  When d1*d2 == s*s (square_split
         left a large square inside d), b*sqrt(d2) == (b*s/|d1|)*sqrt(d1)."""
-        if not isinstance(other, QuadExt):
-            return _rational(other), 0, self.d
         if self.d == other.d:
             return other.a, other.b, self.d
         prod = self.d * other.d
@@ -177,6 +175,8 @@ class QuadExt:
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
+        if not isinstance(other, QuadExt):
+            return _of(self.a + _rational(other), self.b, self.d)
         oa, ob, d = self._parts(other)
         return _of(self.a + oa, self.b + ob, d)
 
@@ -186,14 +186,18 @@ class QuadExt:
         return _of(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
+        if not isinstance(other, QuadExt):
+            return _of(self.a - _rational(other), self.b, self.d)
         oa, ob, d = self._parts(other)
         return _of(self.a - oa, self.b - ob, d)
 
     def __rsub__(self, other):
-        oa, ob, d = self._parts(other)
-        return _of(oa - self.a, ob - self.b, d)
+        return _of(_rational(other) - self.a, -self.b, self.d)
 
     def __mul__(self, other):
+        if not isinstance(other, QuadExt):
+            r = _rational(other)
+            return _of(self.a * r, self.b * r, self.d)
         oa, ob, d = self._parts(other)
         return _of(self.a * oa + d * self.b * ob, self.a * ob + self.b * oa, d)
 
@@ -206,7 +210,7 @@ class QuadExt:
         return _of(self.a / r, self.b / r, self.d)
 
     def __rtruediv__(self, other):
-        return _rational(other) * self.inverse()
+        return self.inverse() * other
 
     # -- comparison / hashing ----------------------------------------------
     def _key(self) -> tuple:

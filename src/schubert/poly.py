@@ -60,6 +60,9 @@ class PolyQ:
             cs.pop()
         self.coeffs = tuple(cs)
 
+    def __reduce__(self) -> tuple:
+        return PolyQ, (self.coeffs,)
+
     @classmethod
     def one(cls) -> "PolyQ":
         return cls((1,))

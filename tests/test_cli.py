@@ -6,12 +6,17 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from schubert import cli
 from schubert.cli import main
+from schubert.flags import GroupKind, osculating_flag
+from schubert.grassmann import small_solver_gr24
+from schubert.linalg import QuadExt
 from schubert.wronski import EHReport
 
 
@@ -96,6 +101,29 @@ def test_exact_output_has_no_digit_limit(capsys):
     code, data = run_json(capsys, "curve", "--kind", "sl", "--m", "3",
                           "--t", "1" * 5000)
     assert (code, data["error_type"]) == (2, "ValueError")
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_quadext_d_past_the_digit_limit_prints_in_full(capsys, fmt):
+    # with a point at 1e900 the solutions' d has more digits than Python
+    # prints from an int by default, in the JSON number and the plain line
+    flags = [osculating_flag(GroupKind.sl(4), Fraction(t))
+             for t in (0, 1, 2, 10**900)]
+    want = {x.d for V in small_solver_gr24(flags)
+            for row in V.basis.to_rows() for x in row if type(x) is QuadExt}
+    assert len(want) == 1 and len(str(Decimal(*want))) > 4300
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "--format", fmt, "solve-four-lines",
+                        "--osculating", "--points=0,1,2,1e900")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    if fmt == "json":
+        data = json.loads(out, parse_int=lambda s: int(Decimal(s)))
+        got = {x["d"] for sol in data["solutions"] for row in sol["basis"]
+               for x in row if isinstance(x, dict)}
+    else:
+        got = {int(Decimal(line.split(": ")[1])) for line in out.splitlines()
+               if line.strip().startswith("d: ")}
+    assert got == want
 
 
 def test_errors_name_their_type(capsys, tmp_path):

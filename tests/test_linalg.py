@@ -2,8 +2,10 @@
 exponentials against the closed-form series, quadratic roots resubstituted."""
 
 import copy
+import fractions
 import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -335,6 +337,39 @@ def test_quadext_mixes_with_rationals():
     assert 2 * x == QuadExt(F(2), F(2), 5)
     assert type(x - x) is F and x - x == 0
     assert F(1, 2) / QuadExt(F(0), F(1), 2) == QuadExt(F(0), F(1, 4), 2)
+
+
+def _fraction_ops(op) -> dict:
+    """How many times op() calls each of Fraction's arithmetic kernels."""
+    counts = dict.fromkeys(("_add", "_sub", "_mul", "_div"), 0)
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name in counts
+                and code.co_filename == fractions.__file__):
+            counts[code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        op()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_quadext_with_a_rational_operand_does_only_the_rational_work():
+    # a + r is one addition, x*r is a*r and b*r, and r/x is r times x's
+    # inverse: a*a - d*b*b, a/n, -b/n and then a*r and b*r
+    x, r = QuadExt(F(1, 3), F(2, 5), 7), F(3, 11)
+    for op, want in [(lambda: x * r, {"_mul": 2}), (lambda: r * x, {"_mul": 2}),
+                     (lambda: x * 3, {"_mul": 2}), (lambda: x + r, {"_add": 1}),
+                     (lambda: r + x, {"_add": 1}), (lambda: x - r, {"_sub": 1}),
+                     (lambda: r - x, {"_sub": 1}), (lambda: x / r, {"_div": 2}),
+                     (lambda: r / x, {"_mul": 5, "_sub": 1, "_div": 2})]:
+        assert _fraction_ops(op) == {"_add": 0, "_sub": 0, "_mul": 0,
+                                     "_div": 0, **want}
+    assert x * r == QuadExt(F(1, 11), F(6, 55), 7) == r * x
+    assert r / x * x == r
 
 
 def test_quadext_survives_copy_and_pickle():

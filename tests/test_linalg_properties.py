@@ -174,19 +174,28 @@ def _assert_one_form(r, value, d):
 
 
 @SETTINGS
-@given(field_elements(), _rationals)
-def test_quadext_arithmetic_builds_normalized_results(elems, q):
+@given(field_elements(), _rationals, st.sampled_from([0, 1, -1, 2, -3]))
+def test_quadext_arithmetic_builds_normalized_results(elems, q, n):
     # every result is in its one form, an irrational one has the parts
     # QuadExt(...) would make of them, and building it looks no d up in
-    # square_split; X, Y and Q are x, y and q in sympy's QQ<sqrt(d)>
+    # square_split; X, Y, Q and N are x, y, q and n in sympy's QQ<sqrt(d)>;
+    # the int operands n and 0 stand on both sides of +, -, * and /
     x, y, _ = elems
     d = next((e.d for e in elems if type(e) is QuadExt), D_VALUES[0])
-    X, Y, Q = (_to_sympy(e, d) for e in (x, y, q))
+    X, Y, Q, N = (_to_sympy(e, d) for e in (x, y, q, F(n)))
     ops = [(lambda: x + y, X + Y), (lambda: x - y, X - Y),
            (lambda: x * y, X * Y), (lambda: -x, -X),
            (lambda: x + q, X + Q), (lambda: q + x, Q + X),
            (lambda: x - q, X - Q), (lambda: q - x, Q - X),
            (lambda: x * q, X * Q), (lambda: q * x, Q * X)]
+    for c, C in ((n, N), (0, _to_sympy(F(0), d))):
+        ops += [(lambda c=c: x + c, X + C), (lambda c=c: c + x, C + X),
+                (lambda c=c: x - c, X - C), (lambda c=c: c - x, C - X),
+                (lambda c=c: x * c, X * C), (lambda c=c: c * x, C * X)]
+        if c:
+            ops.append((lambda c=c: x / c, X / C))
+        if x:
+            ops.append((lambda c=c: c / x, C / X))
     if type(x) is QuadExt:
         ops.append((lambda: x.conjugate(), _to_sympy(2 * x.a, d) - X))
     if y:

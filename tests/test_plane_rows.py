@@ -139,19 +139,14 @@ def test_lazy_plane_behaves_like_the_eager_one(k, m, rows, scale):
     read = lazy()
     read.basis
     for proto in range(pickle.HIGHEST_PROTOCOL + 1):
-        # a PolyQ has __slots__ and no __reduce__, so a plane holding its
-        # basis pickles only from protocol 2 on; an unread lazy plane holds
-        # only ints
-        planes = (lazy(), read, eager) if proto >= 2 else (lazy(),)
-        for plane in planes:
+        # an unread lazy plane holds only ints; a plane holding its basis
+        # pickles its PolyQs through PolyQ.__reduce__
+        for plane in (lazy(), read, eager):
             back = pickle.loads(pickle.dumps(plane, proto))
             assert back == eager and hash(back) == hash(eager), proto
             assert repr(back) == repr(eager), proto
             assert (back._rows, back._scale) == (rows, scale), proto
-        if proto < 2:
-            for plane in (read, eager):
-                with pytest.raises(TypeError, match="__slots__"):
-                    pickle.dumps(plane, proto)
+            assert back.basis == eager.basis, proto
 
 
 def test_lazy_basis_is_built_once_and_only_basis_is_lazy():

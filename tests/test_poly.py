@@ -1,5 +1,7 @@
 """Univariate rational polynomials: arithmetic, synthetic division, Horner."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -68,6 +70,19 @@ def test_divide_linear_reconstructs():
         q, r = p.divide_linear(t0)
         assert q * PolyQ([-t0, 1]) + PolyQ([r]) == p
 
+
+
+@pytest.mark.parametrize("coeffs", [(), (F(1, 3),),
+                                    (QuadExt(1, 2, 3), 0, F(-5, 7))],
+                         ids=["zero", "constant", "quadext"])
+def test_polyq_survives_copy_and_pickle(coeffs):
+    p = PolyQ(coeffs)
+    copies = [copy.copy(p), copy.deepcopy(p)]
+    copies += [pickle.loads(pickle.dumps(p, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for q in copies:
+        assert type(q) is PolyQ and q == p and q.coeffs == p.coeffs
+        assert [type(c) for c in q.coeffs] == [type(c) for c in p.coeffs]
 
 
 def test_quadext_coefficients():

@@ -2,8 +2,9 @@
 for what a size is, ``linalg._require_ints``.
 
 Every public entry point that reads a rational parameter, every ``Matrix``
-and ``PolyQ`` entry and both parts of a ``QuadExt`` take an int or a
-Fraction and raise TypeError for a float, a str or a bool.  Every size a
+and ``PolyQ`` entry, both parts of a ``QuadExt`` and the other operand of
+its arithmetic, on either side, take an int or a Fraction and raise
+TypeError for a float, a str or a bool.  Every size a
 public entry point takes (of conditions, permutation conditions, groups,
 flags, flag manifolds, ambient dimensions, matrices, monomials,
 polynomial planes and ``QuadExt``'s d) is an int that is not a bool, or
@@ -11,6 +12,7 @@ the size gate raises its TypeError.  A polynomial plane's basis entries are
 ``PolyQ``s, or its constructor raises a TypeError naming the entry's type.
 """
 
+import operator
 import random
 from fractions import Fraction
 from functools import partial
@@ -64,6 +66,16 @@ def test_entry_points_read_int_and_fraction_alike(name):
     assert ENTRY_POINTS[name](2) == ENTRY_POINTS[name](Fraction(2))
 
 
+# a float, str or bool on either side of QuadExt arithmetic
+_X = QuadExt(1, 1, 2)
+OPERAND_CASES = [(partial(op, *pair), f"{bad!r} {side} {symbol}")
+                 for symbol, op in (("-", operator.sub), ("*", operator.mul),
+                                    ("/", operator.truediv))
+                 for bad in (0.5, "1/2", True)
+                 for side, pair in (("right of", (_X, bad)),
+                                    ("left of", (bad, _X)))]
+
+
 @pytest.mark.parametrize("build", [
     lambda: Matrix([[True]]),
     lambda: Matrix([[1, 0.5]]),
@@ -76,9 +88,11 @@ def test_entry_points_read_int_and_fraction_alike(name):
     lambda: PolyQ([1, 2]) * True,
     lambda: PolyQ([1, 2])(0.5),
     lambda: QuadExt(1, 1, 2) + 0.5,
+    *(build for build, _ in OPERAND_CASES),
 ], ids=["Matrix bool", "Matrix float", "PolyQ bool", "PolyQ str",
         "QuadExt bool a", "QuadExt bool b", "QuadExt float a", "QuadExt bool d",
-        "PolyQ times bool", "PolyQ at float", "QuadExt plus float"])
+        "PolyQ times bool", "PolyQ at float", "QuadExt plus float",
+        *(name for _, name in OPERAND_CASES)])
 def test_scalar_containers_refuse_inexact_entries(build):
     with pytest.raises(TypeError):
         build()
