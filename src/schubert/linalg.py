@@ -4,9 +4,11 @@ Scalars are ``fractions.Fraction``, or :class:`QuadExt` for values that live
 in a quadratic field.  There is no floating point anywhere.  Matrices are
 small and dense (desk scale).  Every elimination is :func:`_echelon`:
 fraction-free (Bareiss) on integer rows and exact field elimination
-otherwise; ``rref``, ``kernel`` and ``inverse`` add one backward pass on
-the matrix's own scalars.  Whether exact input is scaled to integer rows
-or passed through as irrational is decided in one place,
+otherwise, whose forward pass touches only the pivot row's nonzero columns
+and inverts a Q(sqrt(d)) pivot once; ``rref``, ``kernel`` and ``inverse``
+add one backward pass on the matrix's own scalars, which divides by a
+Q(sqrt(d)) pivot through one inverse too.  Whether exact input is scaled
+to integer rows or passed through as irrational is decided in one place,
 :func:`_integer_rows`, for the whole input at once; rational input is
 scaled by its one common denominator.  The private routines reduce row
 lists in place; a :class:`Matrix` is built only where a public function
@@ -393,8 +395,10 @@ def _echelon(a: list[list], nc: int) -> tuple[list[int], int]:
     pivot becomes ``(piv * row - x * piv_row) // prev`` with ``prev`` the
     previous pivot, an exact division, and for a square matrix of full rank
     the last pivot is the determinant of the row-permuted input.  Otherwise
-    a row below the pivot loses ``x / piv`` times the pivot row, over the
-    entries' own field.  The only elimination in the package.
+    a row below the pivot with x != 0 in the pivot column loses ``x / piv``
+    times the pivot row, over the entries' own field, in the pivot row's
+    nonzero columns only (a zero keeps its value); a Q(sqrt(d)) pivot with
+    such a row below is inverted once.  The only elimination in the package.
     """
     nr = len(a)
     fraction_free = all(type(x) is int for row in a for x in row)
@@ -412,14 +416,17 @@ def _echelon(a: list[list], nc: int) -> tuple[list[int], int]:
             sign = -sign
         piv_row = a[r]
         piv = piv_row[c]
-        for row in a[r + 1:]:
-            x = row[c]
-            if fraction_free:
+        if fraction_free:
+            for row in a[r + 1:]:
+                x = row[c]
                 for j in range(c, nc):
                     row[j] = (piv * row[j] - x * piv_row[j]) // prev
-            elif x:
-                f = x / piv
-                for j in range(c, nc):
+        elif below := [row for row in a[r + 1:] if row[c]]:
+            cols = [j for j in range(c, nc) if piv_row[j]]
+            inv = piv.inverse() if type(piv) is QuadExt else None
+            for row in below:
+                f = row[c] / piv if inv is None else row[c] * inv
+                for j in cols:
                     row[j] = row[j] - f * piv_row[j]
         prev = piv
         pivots.append(c)
@@ -429,15 +436,17 @@ def _echelon(a: list[list], nc: int) -> tuple[list[int], int]:
 def _rref_rows(a: list[list], nc: int) -> list[int]:
     """Reduce the row list ``a`` (nc columns) in place to reduced row echelon
     form, on its own scalars, and return the pivot columns: :func:`_echelon`,
-    then a backward pass that divides each pivot row by its pivot and clears
-    its column above it."""
+    whose forward pass touches only each pivot row's nonzero columns, then a
+    backward pass that divides each pivot row by its pivot (through one
+    inverse for a Q(sqrt(d)) pivot) and clears its column above it."""
     pivots, _ = _echelon(a, nc)
     for r in reversed(range(len(pivots))):
         c = pivots[r]
         row = a[r]
         piv = row[c]
+        inv = piv.inverse() if type(piv) is QuadExt else None
         for j in range(c, nc):
-            row[j] = row[j] / piv
+            row[j] = row[j] / piv if inv is None else row[j] * inv
         for above in a[:r]:
             f = above[c]
             if f:
@@ -604,4 +613,6 @@ def solve_quadratic(a, b, c) -> list[Scalar]:
     rad = Fraction(s, disc.denominator)  # sqrt(disc) == rad * sqrt(d)
     re = -b / (2 * a)
     co = rad / (2 * a)
-    return [QuadExt(re, co, d), QuadExt(re, -co, d)]
+    if d in (0, 1):  # a double or rational root; d is reduced, so no lookup
+        return [re + co * d, re - co * d]
+    return [_of(re, co, d), _of(re, -co, d)]

@@ -215,3 +215,76 @@ def test_compare_exit_code(tmp_path, monkeypatch, capsys, base_ops, new_ops,
         paths[-1].write_text(bench_record.json.dumps(rec), encoding="utf-8")
     assert bench_record.main(["--compare", *map(str, paths)]) == code
     assert want in capsys.readouterr().out
+
+
+class _Done:
+    def __init__(self, returncode, stdout):
+        self.returncode, self.stdout = returncode, stdout
+
+
+@pytest.mark.parametrize("outcome, want", [
+    (_Done(0, " M src/schubert/linalg.py\n?? perfbench/new.py\n"), True),
+    (_Done(0, ""), False),
+    (_Done(128, ""), None),           # not a git repository
+    (FileNotFoundError("git"), None),  # no git at all
+], ids=["changed", "clean", "not-a-repository", "no-git"])
+def test_uncommitted_changes_reads_git_status(monkeypatch, tmp_path, outcome,
+                                              want):
+    seen = []
+
+    def run(argv, **kwargs):
+        seen.append((argv, kwargs["cwd"]))
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(bench_record.subprocess, "run", run)
+    assert bench_record.uncommitted_changes(tmp_path) is want
+    assert seen == [(["git", "status", "--porcelain", "--", "src",
+                      "perfbench"], tmp_path)]
+    rec = bench_record.record("x", 25, want)
+    assert rec["uncommitted_changes"] is want
+    assert bench_record.tree_state(rec) == {True: "uncommitted", False: "clean",
+                                            None: "unknown"}[want]
+
+
+def test_recording_keeps_each_checkouts_tree_state(monkeypatch, tmp_path):
+    # the checkout under test has changes, the base checkout is clean; the
+    # runs themselves are stubbed and the records kept in memory
+    monkeypatch.setattr(bench_record, "uncommitted_changes",
+                        lambda checkout: checkout == bench_record.ROOT)
+    result = {"correct": True, "attempted": 5, "failed": 0,
+              "metrics": {"ops_per_s": {"value": 100.0, "unit": "1/s"}}}
+    monkeypatch.setattr(bench_record, "run_once",
+                        lambda checkout, w, seed, s: (ENV, "a", result))
+    written = {}
+
+    def write(rec):
+        written[rec["label"]] = rec
+        return Path(f"BENCH_{rec['label']}.json")
+
+    monkeypatch.setattr(bench_record, "_write", write)
+    assert bench_record.main(["--label", "x", "--workloads", "eh_check",
+                              "--seeds", "1", "--base-checkout",
+                              str(tmp_path)]) == 0
+    assert written["x"]["uncommitted_changes"] is True
+    assert written["pre_x"]["uncommitted_changes"] is False
+
+
+def test_compare_ignores_the_tree_state(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench_record, "benchmark_spec",
+                        lambda: {"end_to_end": METRICS})
+    runs = [("eh_check", s, 100.0 + s, 30.0) for s in (1, 2, 3)]
+    old = _record("base", runs)
+    del old["uncommitted_changes"]  # a record made before the field was kept
+    assert bench_record.tree_state(old) == "unknown"
+    texts = []
+    for state in (None, False, True):
+        new = _record("new", runs)
+        new["uncommitted_changes"] = state
+        paths = [tmp_path / "base.json", tmp_path / "new.json"]
+        for path, rec in zip(paths, (old, new)):
+            path.write_text(bench_record.json.dumps(rec), encoding="utf-8")
+        assert bench_record.main(["--compare", *map(str, paths)]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] == texts[2]

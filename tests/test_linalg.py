@@ -13,8 +13,9 @@ from math import isqrt
 import pytest
 
 from schubert.errors import NoSolution, NotNilpotent
-from schubert.linalg import (Matrix, QuadExt, det, exp_nilpotent, inverse,
-                             kernel, rank, rref, solve_quadratic, square_split)
+from schubert.linalg import (Matrix, QuadExt, _echelon, _rref_rows, det,
+                             exp_nilpotent, inverse, kernel, rank, rref,
+                             solve_quadratic, square_split)
 
 F = Fraction
 
@@ -370,6 +371,49 @@ def test_quadext_with_a_rational_operand_does_only_the_rational_work():
                                      "_div": 0, **want}
     assert x * r == QuadExt(F(1, 11), F(6, 55), 7) == r * x
     assert r / x * x == r
+
+
+def _quadext_rows():
+    """A 4 x 5 row list over Q(sqrt(2)) whose entries are all irrational."""
+    rng = random.Random(5)
+    return [[QuadExt(rng.randint(-3, 3), rng.randint(1, 3), 2)
+             for _ in range(5)] for _ in range(4)]
+
+
+def test_a_quadext_pivot_is_inverted_once_per_pass(monkeypatch):
+    # the forward pass inverts each Q(sqrt(d)) pivot once for all the rows
+    # below it (the last has none), and rref's back pass, bottom-up, once
+    # more for its whole row
+    calls = []
+    invert = QuadExt.inverse
+    monkeypatch.setattr(QuadExt, "inverse",
+                        lambda x: calls.append(x) or invert(x))
+    a = _quadext_rows()
+    pivots, _ = _echelon(a, 5)
+    pivs = [row[c] for row, c in zip(a, pivots)]
+    assert len(pivs) == 4 and all(type(x) is QuadExt for x in pivs)
+    assert calls == pivs[:-1]
+    calls.clear()
+    assert _rref_rows(_quadext_rows(), 5) == pivots
+    assert calls == pivs[:-1] + pivs[::-1]
+
+
+def test_forward_pass_skips_the_pivot_rows_zero_columns():
+    # [A | I] over Q: the pivot row's zeros in the identity block are never
+    # read, so every slot right of a row's own 1 keeps the very Fraction it
+    # held, and a row below does one product and one difference per nonzero
+    # column of the pivot row: [2, 3, 1, 0] has three
+    n = 4
+    A = [[F(3, 2), F(1), F(-2), F(1, 3)], [F(1), F(2), F(1), F(0)],
+         [F(0), F(1, 2), F(3), F(1)], [F(2), F(0), F(1), F(5)]]
+    a = [row + [F(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
+    upper = {(i, j): a[i][n + j] for i in range(n) for j in range(i + 1, n)}
+    assert _echelon(a, 2 * n)[0] == list(range(n))
+    assert all(a[i][n + j] is x for (i, j), x in upper.items())
+    b = [[F(2), F(3), F(1), F(0)], [F(4), F(5), F(0), F(1)]]
+    assert _fraction_ops(lambda: _echelon(b, 4)) == {
+        "_add": 0, "_sub": 3, "_mul": 3, "_div": 1}
+    assert b == [[2, 3, 1, 0], [0, -1, -2, 1]]
 
 
 def test_quadext_survives_copy_and_pickle():

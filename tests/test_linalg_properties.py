@@ -2,13 +2,16 @@
 
 Small matrices over Q and Q(sqrt(d)) are generated by hypothesis; rank,
 det, rref with its pivots, nullity, M * kernel(M) == 0 and inverse are
-compared with the same operations over sympy's QQ or QQ<sqrt(d)>, and
-rref, kernel and inverse hold only Fraction or QuadExt entries.  QuadExt
+compared with the same operations over sympy's QQ or QQ<sqrt(d)>, on dense
+matrices and on zero-heavy ones beside standard columns, and rref, kernel
+and inverse hold only Fraction or QuadExt entries, a zero the elimination
+never touched included.  QuadExt
 is checked against the field axioms, against Fraction for rational values
 (== and hash), across the square splits of one d, and for one form per
 value: a result of QuadExt(...), the arithmetic or solve_quadratic is a
 Fraction exactly when sympy finds its value rational, and otherwise a
-QuadExt with b != 0, built without a second square_split lookup.
+QuadExt with b != 0, built without a second square_split lookup; the
+roots of solve_quadratic take one lookup.
 """
 
 from fractions import Fraction
@@ -93,10 +96,39 @@ def _package_built(M):
             and Matrix(rows) == M)
 
 
-@SETTINGS
-@given(matrices())
-def test_rank_rref_kernel_match_sympy(case):
-    M, d = case
+_sparse_entries = st.sampled_from([F(0)] * 5 + [F(1), F(-1), F(2), F(1, 2),
+                                                F(-2, 3)])
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """(M, d): a zero-heavy dense block beside a block of standard columns,
+    at most 4 x 8 over Q (d None) or Q(sqrt(d)), shaped like the
+    eliminations of [F | V | W] (W standard columns) and [C^T | I_k]; the
+    standard block is the identity or some of its columns, in any order,
+    left or right of the dense one, and the last row may depend on the
+    others."""
+    d = draw(st.sampled_from((None,) + D_VALUES))
+    nr = draw(st.integers(1, 4))
+    q = draw(st.integers(0 if square else 1, nr))
+    p = nr - q if square else draw(st.integers(1, 8 - q))
+
+    def entry():
+        a = draw(_sparse_entries)
+        return a if d is None else QuadExt(a, draw(_sparse_entries), d)
+
+    dense = [[entry() for _ in range(p)] for _ in range(nr)]
+    if nr > 1 and draw(st.booleans()):
+        coeffs = [entry() for _ in range(nr - 1)]
+        dense[-1] = [sum((c * row[j] for c, row in zip(coeffs, dense)), F(0))
+                     for j in range(p)]
+    units = draw(st.permutations(range(nr)))[:q]
+    std = [[F(i == u) for u in units] for i in range(nr)]
+    left = draw(st.booleans())
+    return Matrix([a + b if left else b + a for a, b in zip(dense, std)]), d
+
+
+def _check_rank_rref_kernel(M, d):
     ref = _dm(M, d)
     r = ref.rank()
     assert rank(M) == r
@@ -114,9 +146,18 @@ def test_rank_rref_kernel_match_sympy(case):
 
 
 @SETTINGS
-@given(matrices(square=True))
-def test_det_inverse_match_sympy(case):
-    M, d = case
+@given(matrices())
+def test_rank_rref_kernel_match_sympy(case):
+    _check_rank_rref_kernel(*case)
+
+
+@SETTINGS
+@given(sparse_matrices())
+def test_sparse_rank_rref_kernel_match_sympy(case):
+    _check_rank_rref_kernel(*case)
+
+
+def _check_det_inverse(M, d):
     ref = _dm(M, d)
     ref_det = ref.det()
     assert _to_sympy(det(M), d) == ref_det
@@ -126,6 +167,18 @@ def test_det_inverse_match_sympy(case):
     else:
         with pytest.raises(ValueError):
             inverse(M)
+
+
+@SETTINGS
+@given(matrices(square=True))
+def test_det_inverse_match_sympy(case):
+    _check_det_inverse(*case)
+
+
+@SETTINGS
+@given(sparse_matrices(square=True))
+def test_sparse_det_inverse_match_sympy(case):
+    _check_det_inverse(*case)
 
 
 # -- QuadExt as a field ------------------------------------------------------------
@@ -252,6 +305,30 @@ def test_quadext_rational_values_match_fraction(a, b, d):
         assert (x != q + 1) and hash(x + 1) == hash(q + 1)
     if b:
         assert QuadExt(a, b, d) != a and QuadExt(a, b, d).b
+
+
+@SETTINGS
+@given(st.sampled_from([F(1), F(-2), F(1, 2), F(3)]), _rationals, _rationals)
+def test_solve_quadratic_looks_d_up_once(a, b, c):
+    # the discriminant's d is split once; the roots are the ones QuadExt(...)
+    # builds from the same parts, which would split that reduced d again
+    before = _lookups()
+    roots = solve_quadratic(a, b, c)
+    assert _lookups() == before + 1
+    disc = b * b - 4 * a * c
+    s, d = square_split(disc.numerator * disc.denominator)
+    re, co = -b / (2 * a), F(s, disc.denominator) / (2 * a)
+    want = [QuadExt(re, co, d), QuadExt(re, -co, d)]
+    assert [type(r) for r in roots] == [type(w) for w in want]
+    assert roots == want
+    for r, w in zip(roots, want):
+        if type(r) is QuadExt:
+            assert (r.a, r.b, r.d) == (w.a, w.b, w.d)
+
+
+def test_solve_quadratic_double_root_is_two_fractions():
+    roots = solve_quadratic(1, 2, 1)
+    assert roots == [-1, -1] and [type(r) for r in roots] == [F, F]
 
 
 @SETTINGS

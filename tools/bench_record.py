@@ -7,8 +7,11 @@
 Recording runs ``python3 perfbench/run.py --workload W --seed N --seconds S
 --trace 0`` of this checkout as it stands, once per workload and seed, and
 writes ``BENCH_<label>.json`` at the root of this repository: the
-environment line of the runs (Python, platform, git revision, nproc) and,
-per run, the digest of its first ops' outputs and its final JSON line.
+environment line of the runs (Python, platform, git revision, nproc),
+whether the checkout had uncommitted changes under ``src/`` or
+``perfbench/`` (``uncommitted_changes``, from ``git status --porcelain``:
+the git revision names HEAD even when the tree differs from it) and, per
+run, the digest of its first ops' outputs and its final JSON line.
 The workloads and the run length S come from ``BENCHMARK.json``;
 ``--workloads`` picks a subset of them.  With
 ``--base-checkout`` every run is paired with the same run of that checkout,
@@ -25,7 +28,8 @@ line per workload counts the runs paired by seed whose output digests are
 equal, marks a mismatch, and reads ``n/a`` when a record has no digests
 (records made before they were kept).  ``--compare`` exits 1 when a row
 reads ``regression`` or a digest line reads ``MISMATCH``, and 0 otherwise
-(``unresolved`` included).
+(``unresolved`` included).  It ignores ``uncommitted_changes``, which
+records made before it was kept lack: they read as ``unknown``.
 """
 
 from __future__ import annotations
@@ -69,11 +73,32 @@ def run_once(checkout: Path, workload: str, seed: int,
     return env, parse_digest(done.stdout), result
 
 
-def record(label: str, seconds: float) -> dict:
+def uncommitted_changes(checkout: Path) -> bool | None:
+    """Whether ``git status --porcelain -- src perfbench`` lists a change
+    in the checkout; None when git cannot tell (no git, not a repository)."""
+    try:
+        done = subprocess.run(["git", "status", "--porcelain", "--", "src",
+                               "perfbench"], cwd=checkout, capture_output=True,
+                              text=True)
+    except OSError:
+        return None
+    return None if done.returncode else bool(done.stdout.strip())
+
+
+def tree_state(rec: dict) -> str:
+    """``clean``, ``uncommitted`` or ``unknown`` (git could not tell, or
+    the record predates the field) for the checkout a record ran."""
+    return {False: "clean", True: "uncommitted"}.get(
+        rec.get("uncommitted_changes"), "unknown")
+
+
+def record(label: str, seconds: float,
+           uncommitted: bool | None = None) -> dict:
     return {"label": label,
             "command": "python3 perfbench/run.py --workload W --seed N "
                        f"--seconds {seconds:g} --trace 0",
-            "environment": None, "runs": []}
+            "environment": None, "uncommitted_changes": uncommitted,
+            "runs": []}
 
 
 def add_run(rec: dict, workload: str, seed: int, env: dict, result: dict,
@@ -244,9 +269,14 @@ def main(argv=None) -> int:
         parser.error(f"--workloads repeats a workload: {args.workloads}")
     seconds = spec["run_seconds"]
 
-    sides = [(ROOT, record(args.label, seconds))]
+    sides = [(ROOT, args.label)]
     if args.base_checkout is not None:
-        sides.append((args.base_checkout, record(f"pre_{args.label}", seconds)))
+        sides.append((args.base_checkout, f"pre_{args.label}"))
+    sides = [(checkout, record(label, seconds, uncommitted_changes(checkout)))
+             for checkout, label in sides]
+    for checkout, rec in sides:
+        print(f"BENCH_{rec['label']}.json: {checkout} is {tree_state(rec)} "
+              "under src/ and perfbench/", flush=True)
     for i, seed in enumerate(seeds):
         for workload in workloads:
             for checkout, rec in sides[::-1] if i % 2 else sides:
