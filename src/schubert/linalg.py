@@ -613,6 +613,6 @@ def solve_quadratic(a, b, c) -> list[Scalar]:
     rad = Fraction(s, disc.denominator)  # sqrt(disc) == rad * sqrt(d)
     re = -b / (2 * a)
     co = rad / (2 * a)
-    if d in (0, 1):  # a double or rational root; d is reduced, so no lookup
+    if d in (0, 1):  # a double or rational root
         return [re + co * d, re - co * d]
-    return [_of(re, co, d), _of(re, -co, d)]
+    return [_of(re, co, d), _of(re, -co, d)]  # d is reduced already
