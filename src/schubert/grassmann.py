@@ -195,9 +195,6 @@ class TangentSpace:
     constraints: Matrix
 
 
-_ZERO = Fraction(0)  # shared by every zero entry of a constraint row
-
-
 def _primitive(vec: Sequence) -> list:
     """A rational vector scaled to a primitive integer one; others unchanged."""
     (row,), _ = _integer_rows([vec])
@@ -235,7 +232,7 @@ def tangent_space(V: GrPoint, cond: SchubertCondition, F: Flag) -> TangentSpace:
             if p > r + 1 and c[r]:
                 mu_x = [x - c[r] * y for x, y in zip(mu_x, X[p - 1])]
         functionals[r] = _primitive(mu_x)
-    rows_out = [[_coerce(x * y or _ZERO)
+    rows_out = [[_coerce(x * y or 0)
                  for x in _primitive(c[m:]) for y in q]
                 for c, i in zip(cols, cond.indices)
                 for r, q in functionals.items() if r >= i]

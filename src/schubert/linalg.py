@@ -6,20 +6,21 @@ small and dense (desk scale).  Every elimination is :func:`_echelon`:
 fraction-free (Bareiss) on integer rows and exact field elimination
 otherwise, whose forward pass touches only the pivot row's nonzero columns
 and inverts a Q(sqrt(d)) pivot once; ``rref``, ``kernel`` and ``inverse``
-add one backward pass on the matrix's own scalars, which divides by a
-Q(sqrt(d)) pivot through one inverse too.  Whether exact input is scaled
-to integer rows or passed through as irrational is decided in one place,
-:func:`_integer_rows`, for the whole input at once; rational input is
-scaled by its one common denominator.  The private routines reduce row
-lists in place; a :class:`Matrix` is built only where a public function
-returns one, by the trusted :func:`_matrix` from the package's scalars.
-What counts as an exact rational is decided in one place too,
-:func:`_rational`: every Matrix entry from outside, PolyQ entry, QuadExt
-part and rational parameter goes through it, and a float, str or bool
-raises TypeError.  Beside it, :func:`_require_ints` is the one test of a
-size: every size a public entry point takes is an int, not a bool.  A
-rational is always a Fraction and a QuadExt always irrational: only
-``QuadExt(...)`` and the arithmetic's :func:`_of` decide which.
+add one backward pass on the matrix's own scalars, over the pivot row's
+nonzero columns too and through one inverse of a Q(sqrt(d)) pivot.  Whether
+exact input is scaled to integer rows or passed through as irrational is
+decided in one place, :func:`_integer_rows`, for the whole input at once;
+rational input is scaled by its one common denominator.  The private
+routines reduce row lists in place; a :class:`Matrix` is built only where a
+public function returns one, by the trusted :func:`_matrix` from the
+package's scalars.  What counts as an exact rational is decided in one place
+too, :func:`_rational`: every Matrix entry from outside, PolyQ entry,
+QuadExt part and rational parameter goes through it, an int in -256..256
+comes back as one shared Fraction, and a float, str or bool raises
+TypeError.  Beside it, :func:`_require_ints` is the one test of a size:
+every size a public entry point takes is an int, not a bool.  A rational is
+always a Fraction and a QuadExt always irrational: only ``QuadExt(...)`` and
+the arithmetic's :func:`_of` decide which.
 """
 
 from __future__ import annotations
@@ -109,11 +110,15 @@ def square_split(n: int) -> tuple[int, int]:
     return s, sign * d
 
 
+_SMALL = tuple(map(Fraction, range(-256, 257)))  # Fraction(n) at n + 256
+
+
 def _rational(x) -> Fraction:
     """The one test of an exact rational: a Fraction comes back as it is and
-    an int (not a bool) as a Fraction; anything else raises TypeError."""
+    an int (not a bool) as a Fraction, one shared immutable Fraction for
+    each int in -256..256; anything else raises TypeError."""
     if type(x) is int:  # first: isinstance(x, Fraction) is slow for an int
-        return Fraction(x)
+        return _SMALL[x + 256] if -256 <= x <= 256 else Fraction(x)
     if isinstance(x, Fraction):
         return x
     raise TypeError(f"expected an exact rational (int or Fraction), got {x!r}")
@@ -436,21 +441,23 @@ def _echelon(a: list[list], nc: int) -> tuple[list[int], int]:
 def _rref_rows(a: list[list], nc: int) -> list[int]:
     """Reduce the row list ``a`` (nc columns) in place to reduced row echelon
     form, on its own scalars, and return the pivot columns: :func:`_echelon`,
-    whose forward pass touches only each pivot row's nonzero columns, then a
-    backward pass that divides each pivot row by its pivot (through one
-    inverse for a Q(sqrt(d)) pivot) and clears its column above it."""
+    then a backward pass that divides each pivot row by its pivot (through
+    one inverse for a Q(sqrt(d)) pivot) and clears its column above it.  Both
+    passes touch only the pivot row's nonzero columns: a zero keeps its
+    value, since 0 / piv is 0 and x - f * 0 is x."""
     pivots, _ = _echelon(a, nc)
     for r in reversed(range(len(pivots))):
         c = pivots[r]
         row = a[r]
         piv = row[c]
+        cols = [j for j in range(c, nc) if row[j]]
         inv = piv.inverse() if type(piv) is QuadExt else None
-        for j in range(c, nc):
+        for j in cols:
             row[j] = row[j] / piv if inv is None else row[j] * inv
         for above in a[:r]:
             f = above[c]
             if f:
-                for j in range(c, nc):
+                for j in cols:
                     above[j] = above[j] - f * row[j]
     return pivots
 

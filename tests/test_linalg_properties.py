@@ -5,7 +5,9 @@ det, rref with its pivots, nullity, M * kernel(M) == 0 and inverse are
 compared with the same operations over sympy's QQ or QQ<sqrt(d)>, on dense
 matrices and on zero-heavy ones beside standard columns, and rref, kernel
 and inverse hold only Fraction or QuadExt entries, a zero the elimination
-never touched included.  QuadExt
+never touched included.  The back pass of ``_rref_rows``, which skips the
+pivot row's zeros, gives the pivots and entries, value and type alike, of
+a back pass over every column from the pivot on.  QuadExt
 is checked against the field axioms, against Fraction for rational values
 (== and hash), across the square splits of one d, and for one form per
 value: a result of QuadExt(...), the arithmetic or solve_quadratic is a
@@ -27,8 +29,9 @@ from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.domains import QQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from schubert.linalg import (Matrix, QuadExt, det, inverse, kernel,  # noqa: E402
-                             rank, rref, solve_quadratic, square_split)
+from schubert.linalg import (Matrix, QuadExt, _echelon,  # noqa: E402
+                             _rref_rows, det, inverse, kernel, rank, rref,
+                             solve_quadratic, square_split)
 
 F = Fraction
 D_VALUES = (2, 3, 5, 13, -1, -3)
@@ -179,6 +182,42 @@ def test_det_inverse_match_sympy(case):
 @given(sparse_matrices(square=True))
 def test_sparse_det_inverse_match_sympy(case):
     _check_det_inverse(*case)
+
+
+def _dense_rref_rows(a, nc):
+    """The reference back pass: every column from the pivot on, zeros too."""
+    pivots, _ = _echelon(a, nc)
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        row = a[r]
+        piv = row[c]
+        for j in range(c, nc):
+            row[j] = row[j] / piv
+        for above in a[:r]:
+            f = above[c]
+            if f:
+                for j in range(c, nc):
+                    above[j] = above[j] - f * row[j]
+    return pivots
+
+
+def _check_back_pass(M, d):
+    a, ref = M.to_rows(), M.to_rows()
+    assert _rref_rows(a, M.cols) == _dense_rref_rows(ref, M.cols)
+    assert ([[(type(x), x) for x in row] for row in a]
+            == [[(type(x), x) for x in row] for row in ref])
+
+
+@SETTINGS
+@given(matrices())
+def test_back_pass_matches_dense_back_pass(case):
+    _check_back_pass(*case)
+
+
+@SETTINGS
+@given(sparse_matrices())
+def test_sparse_back_pass_matches_dense_back_pass(case):
+    _check_back_pass(*case)
 
 
 # -- QuadExt as a field ------------------------------------------------------------

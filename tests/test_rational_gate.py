@@ -10,9 +10,13 @@ flags, flag manifolds, ambient dimensions, matrices, monomials,
 polynomial planes and ``QuadExt``'s d) is an int that is not a bool, or
 the size gate raises its TypeError.  A polynomial plane's basis entries are
 ``PolyQ``s, or its constructor raises a TypeError naming the entry's type.
+An int in -256..256 comes back as one shared Fraction, which the
+elimination never changes and which copies and pickles as an equal one.
 """
 
+import copy
 import operator
+import pickle
 import random
 from fractions import Fraction
 from functools import partial
@@ -25,7 +29,9 @@ from schubert.grassmann import (PermCondition, SchubertCondition, codim,
                                 expected_dim_report, flag_manifold_dim, iota,
                                 pad_to_zero_dimensional)
 from schubert.jsonio import rational_to_str
-from schubert.linalg import Matrix, QuadExt, exp_nilpotent, solve_quadratic
+from schubert.linalg import (_SMALL, Matrix, QuadExt, _rational, det,
+                             exp_nilpotent, inverse, kernel, rank, rref,
+                             solve_quadratic)
 from schubert.poly import PolyQ
 from schubert.wronski import (PolyPlane, check_eh_identity, plane_vanishing_orders,
                               ramification_condition, random_plane,
@@ -103,6 +109,45 @@ def test_exact_entries_pass_through_unchanged():
     M = Matrix([[x, q, 4]])
     assert M[0, 0] is x and M[0, 1] is q and M[0, 2] == Fraction(4)
     assert type(M[0, 2]) is Fraction
+
+
+@pytest.mark.parametrize("n", [-257, -256, 0, 256, 257])
+def test_rational_of_an_int_is_an_equal_fraction(n):
+    x = _rational(n)
+    assert type(x) is Fraction and x == n
+    with pytest.raises(TypeError):
+        _rational(n == 0)
+
+
+def test_small_ints_share_one_fraction():
+    assert _rational(200) is _rational(int("200"))
+    assert _rational(-256) is _rational(-256) is Matrix([[-256]])[0, 0]
+    M = Matrix([[3, 3], [0, 3]])
+    assert M[0, 0] is M[0, 1] is M[1, 1] is _rational(3)
+
+
+def test_shared_fractions_survive_elimination():
+    M = Matrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    N = Matrix([[1, 2, 3], [2, 4, 6], [256, -256, 0]])
+    for matrix in (M, N):
+        rank(matrix), rref(matrix), kernel(matrix), det(matrix)
+    inverse(M)
+    assert len(_SMALL) == 513
+    assert all(type(x) is Fraction and x == n
+               for n, x in zip(range(-256, 257), _SMALL))
+
+
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy,
+    *(partial(lambda p, x: pickle.loads(pickle.dumps(x, protocol=p)), p)
+      for p in range(pickle.HIGHEST_PROTOCOL + 1))],
+    ids=["copy", "deepcopy", *(f"pickle protocol {p}"
+                               for p in range(pickle.HIGHEST_PROTOCOL + 1))])
+def test_shared_fraction_round_trips(copier):
+    for n in (-256, -1, 0, 1, 7, 256):
+        x = copier(_rational(n))
+        assert type(x) is Fraction and x == n
+        assert copier(PolyQ([n, 1])) == PolyQ([n, 1])
 
 
 # entry point -> a call with the size n in one place; each is run with
