@@ -2,7 +2,9 @@
 
 Every command is deterministic given its arguments and prints a single JSON
 object, or a plain-text rendering of it with ``--format plain``, given
-before the subcommand.  All scalar values are exact strings, never floats.
+before the subcommand.  Rationals are exact strings, never floats; counts,
+sizes and the d of a + b*sqrt(d) are JSON integers; d can pass 2**53, where
+a reader that parses numbers as doubles loses digits.
 
 Exit codes: 0 success, 1 a mathematical claim failed to verify, 2 parse
 error, 3 unsupported group/operation, 4 degenerate configuration.
@@ -15,6 +17,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from . import jsonio
 from .errors import (DegenerateConfiguration, InfinitelyMany,
@@ -391,37 +394,29 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _render_plain(value, indent: int = 0) -> list[str]:
+def _render_plain(value, indent: int = 0) -> Iterator[str]:
+    """Lines for an object (``key:``) or array (``-``): a non-empty object,
+    or an array holding an object or array, nests one level deeper; any
+    other value is one :func:`_leaf` on its label's line."""
     pad = "  " * indent
-    if isinstance(value, dict):
-        items = [(f"{key}:", val) for key, val in value.items()]
-    elif isinstance(value, list):
-        items = [("-", item) for item in value]
-    else:
-        return [f"{pad}{_inline(value)}"]
-    lines = []
+    items = ([(f"{key}:", val) for key, val in value.items()]
+             if isinstance(value, dict) else [("-", val) for val in value])
     for label, val in items:
-        if isinstance(val, (dict, list)) and val and not _is_flat_list(val):
-            lines.append(f"{pad}{label}")
-            lines.extend(_render_plain(val, indent + 1))
+        if (isinstance(val, dict) and val) or (
+                isinstance(val, list)
+                and any(isinstance(x, (dict, list)) for x in val)):
+            yield f"{pad}{label}"
+            yield from _render_plain(val, indent + 1)
         else:
-            lines.append(f"{pad}{label} {_inline(val)}")
-    return lines
+            yield f"{pad}{label} {_leaf(val)}"
 
 
-def _is_flat_list(v) -> bool:
-    return isinstance(v, list) and all(
-        not isinstance(x, (dict, list)) for x in v)
-
-
-def _inline(v) -> str:
+def _leaf(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, list):
-        return "[" + ", ".join(_inline(x) for x in v) + "]"
-    if isinstance(v, dict):
-        return "{" + ", ".join(f"{k}: {_inline(x)}" for k, x in v.items()) + "}"
-    return str(v)
+        return "[" + ", ".join(map(_leaf, v)) + "]"
+    return str(v)  # an empty object prints {}
 
 
 def _emit(payload, fmt: str) -> None:

@@ -274,6 +274,10 @@ class Matrix:
         self._rows = len(data)
         self._cols = c
 
+    def __reduce__(self) -> tuple:
+        # copy and every pickle protocol rebuild through _matrix: 0 x n keeps n
+        return _matrix, (self._data, self._rows, self._cols)
+
     # -- construction --------------------------------------------------------
     @classmethod
     def identity(cls, n: int) -> "Matrix":

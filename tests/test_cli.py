@@ -494,6 +494,23 @@ def test_elimination_commands_match_recorded_bytes(capsys):
         assert out == case["stdout"], case["argv"]
 
 
+def test_plain_output_matches_recorded_bytes(capsys, tmp_path):
+    # `--format plain` stdout recorded from the three-helper renderer, for
+    # every argv of the two JSON goldens, a curve, a dim-report (its problem
+    # file written here), a pad and an error payload: nested objects and
+    # arrays, flat and empty arrays, booleans and Q(sqrt d) entries
+    golden = Path(__file__).with_name("data") / "plain_cli_golden.json"
+    for case in json.loads(golden.read_text(encoding="utf-8")):
+        argv = list(case["argv"])
+        if "problem" in case:
+            path = tmp_path / "problem.json"
+            path.write_text(json.dumps(case["problem"]))
+            argv.append(str(path))
+        code, out = run_cli(capsys, "--format", "plain", *argv)
+        assert code == case["code"], case["argv"]
+        assert out == case["stdout"], case["argv"]
+
+
 def test_identical_invocations_are_byte_identical(capsys):
     _, first = run_cli(capsys, "solve-four-lines", "--isotropic-sp4",
                        "--seed", "3")

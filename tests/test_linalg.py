@@ -427,6 +427,24 @@ def test_quadext_survives_copy_and_pickle():
         assert (y.a, y.b, y.d) == (x.a, x.b, x.d) and y == x
 
 
+def test_quadext_and_matrix_print_signed_parts():
+    # a = 0 prints the surd alone; a negative b becomes a minus sign
+    assert str(QuadExt(0, 2, 7)) == "2*sqrt(7)"
+    assert str(QuadExt(0, -2, 7)) == "-2*sqrt(7)"
+    assert str(QuadExt(F(1, 2), 3, 7)) == "1/2 + 3*sqrt(7)"
+    assert str(QuadExt(F(1, 2), -3, 7)) == "1/2 - 3*sqrt(7)"
+    M = Matrix([[1, QuadExt(0, 1, 5)], [F(-1, 2), QuadExt(F(2, 3), -1, 5)]])
+    assert str(M) == "[1  1*sqrt(5)]\n[-1/2  2/3 - 1*sqrt(5)]"
+
+
+def test_inverse_and_det_refuse_a_non_square_matrix():
+    M = Matrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="inverse of a non-square matrix"):
+        inverse(M)
+    with pytest.raises(ValueError, match="determinant of a non-square matrix"):
+        det(M)
+
+
 def test_matrix_over_quadext():
     s2 = QuadExt(F(0), F(1), 2)
     M = Matrix([[s2, 1], [2, s2]])

@@ -7,8 +7,12 @@ these tests keeps an int or a bool out of a result: ``==`` reads
 result must hold only ``Fraction`` or ``QuadExt`` entries and equal, shape
 included, the Matrix that the checking public constructor reads from its
 rows.  The empty shapes at the end can only be built by the trusted path.
+A copy, deep copy or pickle, at every protocol, rebuilds the same Matrix,
+and so the same Flag, GrPoint and TangentSpace.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -151,3 +155,40 @@ def test_product_over_an_empty_inner_dimension_is_zero():
     P = left * right
     assert (P.rows, P.cols) == (2, 3)
     assert P == Matrix([[0, 0, 0], [0, 0, 0]]) and package_built(P)
+
+
+# -- copies -----------------------------------------------------------------
+
+
+def _copies(x):
+    return [copy.copy(x), copy.deepcopy(x), copy.deepcopy([x])[0],
+            *(pickle.loads(pickle.dumps(x, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+
+
+def test_matrices_flags_points_and_tangents_survive_copy_and_pickle():
+    # every pickle protocol, 0 and 1 included, rebuilds a Matrix through
+    # linalg._matrix: shape, entry types and the state a Flag or GrPoint
+    # keeps beside its fields come back too
+    matrices = [Matrix([[1, F(-2, 3)], [S5, 4]]), kernel(Matrix.identity(3)),
+                kernel(Matrix.identity(3)).transpose()]
+    for M in matrices:
+        for C in _copies(M):
+            assert type(C) is Matrix and C == M and package_built(C)
+            assert (C.rows, C.cols) == (M.rows, M.cols)
+    sp4 = _sp4_flags(1)
+    flags = [Flag(3, Matrix([[1, 2, 0], [0, 1, 0], [3, 0, 1]])),
+             osculating_flag(GroupKind.sp(2), F(-3, 2)), *sp4]
+    for flag in flags:
+        for C in _copies(flag):
+            assert C == flag and C._rows == flag._rows
+            assert package_built(C.basis)
+    V = small_solver_gr24(sp4)[0]  # a Q(sqrt(d)) point
+    T = tangent_space(V, iota(2, 4), sp4[0])
+    for point in (V, GrPoint(Matrix.from_columns([[0, 1, 0, 0],
+                                                  [0, 0, 0, 1]]))):
+        for C in _copies(point):
+            assert C == point and C._complement == point._complement
+    for C in _copies(T):
+        assert C == T and package_built(C.constraints)
+        assert C.point._complement == V._complement

@@ -102,3 +102,12 @@ def test_degree_bounds_product():
             assert (p * q).is_zero
         else:
             assert (p * q).degree() == p.degree() + q.degree()
+
+
+def test_truth_and_printing():
+    # trailing zeros are dropped, so a list of zeros is the zero polynomial
+    assert not PolyQ() and not PolyQ([0, 0]) and PolyQ([0, 1])
+    assert str(PolyQ([0, 0])) == "0"
+    assert str(PolyQ([0, 3])) == "3*t"
+    assert str(PolyQ([1, 0, F(-2, 3)])) == "1 + -2/3*t^2"
+    assert str(PolyQ([QuadExt(0, 1, 5), 0, 0, 1])) == "1*sqrt(5) + 1*t^3"
