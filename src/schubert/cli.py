@@ -165,6 +165,13 @@ def _solve_and_certify(flags, mode_payload):
     return (EXIT_OK if all_trans else EXIT_CLAIM), payload
 
 
+def _sp4_flags(seed: int) -> list:
+    """The four Sp(4) flags of ``--isotropic-sp4 --seed seed``."""
+    rng = random.Random(seed)
+    return [random_isotropic_flag(GroupKind.sp(2), rng.getrandbits(32))
+            for _ in range(4)]
+
+
 def cmd_solve_four_lines(args):
     if args.osculating == args.isotropic_sp4:
         raise ValueError("choose exactly one of --osculating or --isotropic-sp4")
@@ -184,9 +191,7 @@ def cmd_solve_four_lines(args):
         if args.points is not None:
             raise ValueError("--points is not used with --isotropic-sp4")
         seed = args.seed if args.seed is not None else 0
-        rng = random.Random(seed)
-        child = [rng.getrandbits(32) for _ in range(4)]
-        flags = [random_isotropic_flag(GroupKind.sp(2), s) for s in child]
+        flags = _sp4_flags(seed)
         mode = {"mode": "isotropic-sp4", "seed": seed}
     return _solve_and_certify(flags, mode)
 

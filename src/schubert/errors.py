@@ -1,5 +1,10 @@
 """Exception types shared across the library."""
 
+__all__ = ["SchubertError", "NotNilpotent", "NoSolution", "UnsupportedGroup",
+           "DimensionMismatch", "NotMember", "NotInCellInterior",
+           "DegenerateConfiguration", "InfinitelyMany",
+           "NegativeExpectedDimension", "ZeroPolynomial"]
+
 
 class SchubertError(Exception):
     """Base class for all library-specific errors."""

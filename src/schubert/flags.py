@@ -382,6 +382,7 @@ def random_isotropic_flag(kind: GroupKind, seed: int) -> Flag:
     to col_pb; X^2 is k*E_(a,pb) when b == pa, k*E_(pa,b) when pb == a,
     and 0 otherwise.
     """
+    _require_ints("the seed", seed)
     if kind.tag not in ("Sp", "SO_odd"):
         raise UnsupportedGroup(f"{kind} has no isotropic flags here")
     m, n = kind.ambient_dim, kind.param

@@ -33,7 +33,6 @@ from typing import Iterable, Sequence, Union
 from .errors import NoSolution, NotNilpotent
 
 __all__ = [
-    "Scalar",
     "QuadExt",
     "Matrix",
     "rank",
@@ -69,7 +68,8 @@ def _prime_blocks() -> tuple[int, ...]:
                  for i in range(0, len(primes), _BLOCK_PRIMES))
 
 
-@lru_cache(maxsize=8192)
+# typed: a cached 1 or 0 must not answer for True, False or 0.0
+@lru_cache(maxsize=64, typed=True)
 def square_split(n: int) -> tuple[int, int]:
     """Write ``n = s*s*d`` with ``d`` square-reduced; return ``(s, d)``.
 
@@ -77,6 +77,7 @@ def square_split(n: int) -> tuple[int, int]:
     is squarefree for every input a test will ever see (see _TRIAL_BOUND);
     the decomposition itself is exact for arbitrary integers.
     """
+    _require_ints("square_split's n", n)
     if n == 0:
         return 1, 0
     sign = -1 if n < 0 else 1

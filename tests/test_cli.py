@@ -559,16 +559,26 @@ def test_format_goes_before_the_subcommand(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_installed_entry_point_runs():
-    # the child imports the same package, also when pytest alone put it on
-    # sys.path (pyproject's pythonpath)
+def _run_module(*argv):
+    """Run ``python -m schubert.cli argv`` in a child process, which imports
+    the same package, also when pytest alone put it on sys.path (pyproject's
+    pythonpath); entry() hands main's exit code to the shell."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "schubert.cli", "curve", "--kind", "sp",
-         "--n", "2", "--t", "2"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "schubert.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_installed_entry_point_runs():
+    proc = _run_module("curve", "--kind", "sp", "--n", "2", "--t", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["point"] == ["1", "2", "2", "-4/3"]
+
+
+def test_installed_entry_point_exits_with_mains_code():
+    proc = _run_module("verify-isotropy", "--kind", "sl", "--m", "3",
+                       "--t", "1")
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error_type"] == "UnsupportedGroup"

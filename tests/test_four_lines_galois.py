@@ -14,8 +14,9 @@ import random
 import time
 from fractions import Fraction
 
-from test_tangent_oracle import _osculating_flags, _sp4_flags
+from test_tangent_oracle import _osculating_flags
 
+from schubert.cli import _sp4_flags
 from schubert.flags import GroupKind, gram_matrix
 from schubert.grassmann import small_solver_gr24
 from schubert.linalg import Matrix, QuadExt, kernel, rank

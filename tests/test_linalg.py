@@ -65,6 +65,16 @@ def test_matrix_checks_its_shapes(build):
         build()
 
 
+def test_matrix_arithmetic_refuses_a_scalar():
+    # a scalar is no Matrix operand: + and * raise, == is False
+    one = Matrix([[1]])
+    with pytest.raises(TypeError):
+        one + 1
+    with pytest.raises(TypeError):
+        one * 2
+    assert one != 1 and not (one == 1)
+
+
 # -- rank / kernel / inverse / det --------------------------------------------
 
 

@@ -17,10 +17,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from schubert.cli import _sp4_flags
 from schubert.errors import DegenerateConfiguration, InfinitelyMany
 from schubert.flags import (Flag, GroupKind, exp_translate_flag, gram_matrix,
-                            osculating_flag, principal_nilpotent,
-                            random_isotropic_flag)
+                            osculating_flag, principal_nilpotent)
 from schubert.grassmann import (GrPoint, SchubertCondition, iota,
                                 small_solver_gr24, tangent_space,
                                 transversality_certificate)
@@ -73,13 +73,6 @@ def test_flag_layer_matrices_are_package_built():
             assert package_built(gram_matrix(kind).gram), kind
     for kind in KINDS + [GroupKind.so_even(n) for n in (1, 2, 3, 4)]:
         assert package_built(principal_nilpotent(kind)), kind
-
-
-def _sp4_flags(seed):
-    """The four flags of ``solve-four-lines --isotropic-sp4 --seed seed``."""
-    rng = random.Random(seed)
-    return [random_isotropic_flag(GroupKind.sp(2), rng.getrandbits(32))
-            for _ in range(4)]
 
 
 def _cell_point(cond, flag, rng):

@@ -34,6 +34,13 @@ def test_arithmetic():
     assert p * F(1, 2) == PolyQ([F(1, 2), 1])
 
 
+def test_sum_and_equality_need_a_polynomial():
+    # a scalar is no PolyQ summand, and no PolyQ equals one
+    with pytest.raises(TypeError):
+        PolyQ([1]) + 1
+    assert PolyQ([1]) != 1 and not (PolyQ([1]) == 1)
+
+
 def test_derivative():
     p = PolyQ([0, 2, 0, 1])  # 2t + t^3
     assert p.derivative() == PolyQ([2, 0, 3])

@@ -1,5 +1,7 @@
 """Every private module-level name and every public method of
-``src/schubert`` has a use in the package.
+``src/schubert`` has a use in the package, and every public module-level
+function and class of a module that ``schubert`` republishes is in that
+module's ``__all__``.
 
 A ``_``-prefixed function, class or constant is not exported, so nothing
 outside the package should need it; if no code of the package reads it
@@ -9,6 +11,7 @@ kept only for its tests, unless ``KEPT_METHODS`` says why it stays.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "schubert"
@@ -105,3 +108,23 @@ def test_every_public_method_has_a_use_or_a_reason():
             unused.append(f"{module}:{node.lineno} {cls}.{name}")
     assert not unused, unused
     assert len(methods) >= 25
+
+
+def test_every_public_function_and_class_is_in_its_modules_all():
+    """``schubert.__all__`` is built from the ``__all__`` of each module that
+    ``__init__.py`` star-imports, so a public name left out of its module's
+    list would silently drop out of the package's API."""
+    trees = _trees()
+    republished = [node.module for node in trees["__init__"].body
+                   if isinstance(node, ast.ImportFrom)
+                   and node.names[0].name == "*"]
+    assert len(republished) == 6, republished
+    missing = []
+    for module in republished:
+        exported = set(importlib.import_module(f"schubert.{module}").__all__)
+        for node in trees[module].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in exported):
+                missing.append(f"{module}:{node.lineno} {node.name}")
+    assert not missing, missing

@@ -7,8 +7,9 @@ its arithmetic, on either side, take an int or a Fraction and raise
 TypeError for a float, a str or a bool.  Every size a
 public entry point takes (of conditions, permutation conditions, groups,
 flags, flag manifolds, ambient dimensions, matrices, monomials,
-polynomial planes and ``QuadExt``'s d) is an int that is not a bool, or
-the size gate raises its TypeError.  A polynomial plane's basis entries are
+polynomial planes and ``QuadExt``'s d), ``square_split``'s n and the seed
+of ``random_isotropic_flag`` is an int that is not a bool, or the size gate
+raises its TypeError.  A polynomial plane's basis entries are
 ``PolyQ``s, or its constructor raises a TypeError naming the entry's type.
 An int in -256..256 comes back as one shared Fraction, which the
 elimination never changes and which copies and pickles as an equal one.
@@ -24,14 +25,15 @@ from functools import partial
 import pytest
 
 from schubert.flags import (Flag, GroupKind, curve_point, exp_translate_flag,
-                            osculating_flag, principal_nilpotent)
+                            osculating_flag, principal_nilpotent,
+                            random_isotropic_flag)
 from schubert.grassmann import (PermCondition, SchubertCondition, codim,
                                 expected_dim_report, flag_manifold_dim, iota,
                                 pad_to_zero_dimensional)
 from schubert.jsonio import rational_to_str
 from schubert.linalg import (_SMALL, Matrix, QuadExt, _rational, det,
                              exp_nilpotent, inverse, kernel, rank, rref,
-                             solve_quadratic)
+                             solve_quadratic, square_split)
 from schubert.poly import PolyQ
 from schubert.wronski import (PolyPlane, check_eh_identity, plane_vanishing_orders,
                               ramification_condition, random_plane,
@@ -194,6 +196,18 @@ SIZED_CASES = [(partial(build, bad), f"{name} {bad!r}")
 def test_sizes_must_be_ints(build):
     with pytest.raises(TypeError, match="expected ints"):
         build()
+
+
+def test_square_split_and_the_flag_seed_must_be_ints():
+    # a cached 1 or 0 must not answer for True, False or 0.0
+    assert square_split(1) == (1, 1) and square_split(0) == (1, 0)
+    for bad in (True, False, 0.0, 2.0):
+        with pytest.raises(TypeError, match="expected ints"):
+            square_split(bad)
+    assert random_isotropic_flag(SP4, 1) == random_isotropic_flag(SP4, 1)
+    for bad in (True, 2.5, "abc"):
+        with pytest.raises(TypeError, match="expected ints"):
+            random_isotropic_flag(SP4, bad)
 
 
 def test_int_sizes_still_answer():

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from test_schubert import _cell_point, _random_flag
 
-from schubert.flags import GroupKind, osculating_flag, random_isotropic_flag
+from schubert.cli import _sp4_flags
+from schubert.flags import GroupKind, osculating_flag
 from schubert.grassmann import iota, small_solver_gr24, tangent_space
 from schubert.linalg import Matrix, QuadExt, det, inverse
 
@@ -72,13 +73,6 @@ def test_gradient_spans_the_tangent_row_at_open_cell_points():
         for _ in range(8):
             flag = _random_flag(m, rng)
             check_gradient(_cell_point(cond, flag, rng), flag)
-
-
-def _sp4_flags(seed):
-    """The four flags of ``solve-four-lines --isotropic-sp4 --seed seed``."""
-    rng = random.Random(seed)
-    return [random_isotropic_flag(GroupKind.sp(2), rng.getrandbits(32))
-            for _ in range(4)]
 
 
 def test_gradient_spans_the_tangent_row_over_q_sqrt_d():

@@ -25,8 +25,9 @@ import pytest
 
 from test_schubert import _cell_point, _random_flag
 
+from schubert.cli import _sp4_flags
 from schubert.errors import DegenerateConfiguration, InfinitelyMany
-from schubert.flags import GroupKind, osculating_flag, random_isotropic_flag
+from schubert.flags import GroupKind, osculating_flag
 from schubert.grassmann import (SchubertCondition, codim, iota,
                                 small_solver_gr24, tangent_space)
 from schubert.linalg import QuadExt
@@ -131,13 +132,6 @@ def test_tangent_space_matches_cell_tangent_vectors():
             flag = _random_flag(m, rng)
             check_tangent_space(_cell_point(cond, flag, rng), cond, flag)
     assert time.perf_counter() - start < 10.0
-
-
-def _sp4_flags(seed):
-    """The four flags of ``solve-four-lines --isotropic-sp4 --seed seed``."""
-    rng = random.Random(seed)
-    return [random_isotropic_flag(GroupKind.sp(2), rng.getrandbits(32))
-            for _ in range(4)]
 
 
 def _osculating_flags(points):
