@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 from operator import mul
 
 from .errors import DimensionMismatch, UnsupportedGroup
 from .linalg import (Matrix, _echelon, _exp_rows, _integer_rows, _matrix,
-                     _nilpotent_powers, _rational, _require_ints, rank)
+                     _nilpotent_powers, _ratio, _rational, _require_ints,
+                     _unit_rows, rank)
 from .poly import PolyQ, _taylor_coefficients
 
 __all__ = [
@@ -97,8 +97,10 @@ class Flag:
     """A complete flag in C^m, stored as an invertible basis matrix.
 
     Column i spans the new direction of the i-th subspace: the j-th subspace
-    of the flag is the span of the first j columns.  ``_rows``, not a field
-    and so unseen by equality, hashing and repr, holds the basis rows over
+    of the flag is the span of the first j columns.  The bases this module
+    builds (coordinate, osculating, exp(t*eta)) hold the shared Fraction of
+    ``linalg._rational`` for each whole entry in -256..256.  ``_rows``, not
+    a field and so unseen by equality, hashing and repr, holds the basis rows over
     one common denominator; for a rational basis, ints equal to the basis
     times some positive integer: :func:`_integer_rows` of it, computed on
     first use, or the rows :func:`_flag_of` was given.
@@ -131,16 +133,18 @@ class Flag:
 
 
 def _flag_of(m: int, rows: list[list[int]], den: int) -> Flag:
-    """The Flag with basis ``rows / den`` and ``_rows`` the m x m integer
-    ``rows`` themselves, den > 0 (see :class:`Flag`).  Both callers build
-    rows lower triangular with a nonzero diagonal for every t, so
+    """The Flag with basis ``rows / den``, each entry built by
+    :func:`linalg._ratio` (so a whole one in -256..256, every 0 above the
+    diagonal among them, is the shared Fraction), and ``_rows`` the m x m
+    integer ``rows`` themselves, den > 0 (see :class:`Flag`).  Both callers
+    build rows lower triangular with a nonzero diagonal for every t, so
     invertible; any other rows, singular ones among them, raise ValueError."""
     if any(not row[i] or any(row[i + 1:]) for i, row in enumerate(rows)):
         raise ValueError("flag rows are singular or not lower triangular")
     flag = object.__new__(Flag)
     object.__setattr__(flag, "ambient_dim", m)
     object.__setattr__(flag, "basis", _matrix(
-        [[Fraction(x, den) for x in row] for row in rows], m, m))
+        [[_ratio(x, den) for x in row] for row in rows], m, m))
     flag.__dict__["_rows"] = tuple(map(tuple, rows))
     return flag
 
@@ -186,7 +190,7 @@ def curve_polynomials(kind: GroupKind) -> tuple[PolyQ, ...]:
         out = []
         for j in range(m):
             sign = 1 if j <= n else (-1) ** (j - n)
-            out.append(PolyQ.monomial(j, Fraction(sign, factorial(j))))
+            out.append(PolyQ.monomial(j, _ratio(sign, factorial(j))))
         return tuple(out)
     raise UnsupportedGroup(f"{kind} carries no distinguished curve")
 
@@ -246,9 +250,9 @@ def gram_matrix(kind: GroupKind) -> BilinearForm:
     if kind.tag not in ("Sp", "SO_odd"):
         raise UnsupportedGroup(f"{kind} preserves no bilinear form here")
     m, sp = kind.ambient_dim, kind.tag == "Sp"
-    g = [[Fraction(0)] * m for _ in range(m)]
+    g = [[_rational(0)] * m for _ in range(m)]
     for i in range(m):
-        g[i][m - 1 - i] = Fraction(-1 if sp and i >= kind.param else 1)
+        g[i][m - 1 - i] = _rational(-1 if sp and i >= kind.param else 1)
     return BilinearForm("alternating" if sp else "symmetric", _matrix(g, m, m))
 
 
@@ -291,7 +295,7 @@ def principal_nilpotent(kind: GroupKind) -> Matrix:
     which the (2n-1)-st power vanishes.
     """
     m = kind.ambient_dim
-    a = [[Fraction(0)] * m for _ in range(m)]
+    a = [[_rational(0)] * m for _ in range(m)]
     if kind.tag == "SL":
         sub = list(range(1, m))
     elif kind.tag == "Sp":
@@ -304,11 +308,11 @@ def principal_nilpotent(kind: GroupKind) -> Matrix:
         n = kind.param
         sub = [1] * (n - 1) + [0] + [-1] * (n - 1)
         if n >= 2:
-            a[n][n - 2] = Fraction(1)
-            a[n + 1][n - 1] = Fraction(-1)
+            a[n][n - 2] = _rational(1)
+            a[n + 1][n - 1] = _rational(-1)
     for i, v in enumerate(sub):
         if v:
-            a[i + 1][i] = a[i + 1][i] + Fraction(v)
+            a[i + 1][i] = _rational(v)
     return _matrix(a, m, m)
 
 
@@ -391,9 +395,9 @@ def random_isotropic_flag(kind: GroupKind, seed: int) -> Flag:
                     and not (kind.tag == "SO_odd" and a + b == m - 1)),
                    key=lambda r: r[0] > r[1])
     rng = random.Random(seed)
-    g = [[Fraction(i == j) for i in range(m)] for j in range(m)]  # columns
+    g = _unit_rows(m)  # columns
     for a, b in roots:
-        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        c = _ratio(rng.randint(-9, 9), rng.randint(1, 9))
         pa, pb = m - 1 - b, m - 1 - a
         col_b = [x + c * y for x, y in zip(g[b], g[a])]
         if (pa, pb) != (a, b):

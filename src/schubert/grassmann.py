@@ -31,8 +31,8 @@ from .errors import (DegenerateConfiguration, DimensionMismatch, InfinitelyMany,
                      NegativeExpectedDimension, NotInCellInterior, NotMember)
 from .flags import Flag
 from .linalg import (Matrix, _coerce, _echelon, _integer_rows, _matrix,
-                     _rational, _require_ints, _rref_rows, det, rank,
-                     solve_quadratic)
+                     _rational, _require_ints, _rref_rows, _unit_rows, det,
+                     rank, solve_quadratic)
 
 __all__ = [
     "SchubertCondition",
@@ -147,13 +147,14 @@ def _position(V: GrPoint, F: Flag):
     p_1 < ... < p_k, the columns c_a each followed by alpha_a, and X's rows.
     """
     k, m = V.k, V.ambient_dim
+    one, zero = _rational(1), _rational(0)
     R = [[*F.basis.row(r), *V.basis.row(r),
-          *(Fraction(r == c) for c in V._complement)]
+          *(one if r == c else zero for c in V._complement)]
          for r in range(m)]
     _rref_rows(R, 2 * m)
     # row a: column a of C, bottom row first, then e_a to track alpha_a
-    T = [[R[r][m + a] for r in reversed(range(m))]
-         + [Fraction(a == b) for b in range(k)] for a in range(k)]
+    T = [[R[r][m + a] for r in reversed(range(m))] + unit
+         for a, unit in enumerate(_unit_rows(k))]
     lows = _rref_rows(T, m + k)
     # pivot column j is row m - 1 - j of C (jump row m - j), so the pivot
     # rows come in decreasing jump order; each is read back top-down
@@ -319,10 +320,10 @@ def small_solver_gr24(flags: Sequence[Flag]) -> list[GrPoint]:
     xs: list[tuple] = []
     if c11:
         for r in solve_quadratic(c11, c01, c00):
-            xs.append((Fraction(1), r))
+            xs.append((_rational(1), r))
     else:
-        xs.append((Fraction(1), -c00 / c01))
-        xs.append((Fraction(0), Fraction(1)))
+        xs.append((_rational(1), -c00 / c01))
+        xs.append((_rational(0), _rational(1)))
 
     out = []
     for x0, x1 in xs:

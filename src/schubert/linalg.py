@@ -17,8 +17,13 @@ package's scalars.  What counts as an exact rational is decided in one place
 too, :func:`_rational`: every Matrix entry from outside, PolyQ entry,
 QuadExt part and rational parameter goes through it, an int in -256..256
 comes back as one shared Fraction, and a float, str or bool raises
-TypeError.  Beside it, :func:`_require_ints` is the one test of a size:
-every size a public entry point takes is an int, not a bool.  A rational is
+TypeError.  Every Fraction the package constructs rather than computes by
+arithmetic (unit blocks, exp(t*N), a whole determinant, flag bases) is
+built by it or by :func:`_ratio`, n/d for ints, so a whole number in
+-256..256 is that shared Fraction there too; only those two, the table of
+shared values and the JSON string parse call ``Fraction``.  Beside it,
+:func:`_require_ints` is the one test of a size: every size a public entry
+point takes is an int, not a bool.  A rational is
 always a Fraction and a QuadExt always irrational: only ``QuadExt(...)`` and
 the arithmetic's :func:`_of` decide which.
 """
@@ -123,6 +128,14 @@ def _rational(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     raise TypeError(f"expected an exact rational (int or Fraction), got {x!r}")
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """n / d for ints n and d > 0: ``_rational(n // d)`` when d divides n,
+    so a whole quotient in -256..256 is the shared Fraction, and otherwise a
+    new Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else _rational(q)
 
 
 def _require_ints(what: str, *values) -> None:
@@ -285,8 +298,7 @@ class Matrix:
         _require_ints("the size", n)
         if n < 0:
             raise ValueError(f"negative size {n}")
-        return _matrix([[Fraction(i == j) for j in range(n)] for i in range(n)],
-                       n, n)
+        return _matrix(_unit_rows(n), n, n)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
@@ -385,8 +397,14 @@ def _matrix(rows: Iterable[Iterable[Scalar]], r: int, c: int) -> Matrix:
     return M
 
 
+def _unit_rows(n: int) -> list[list[Fraction]]:
+    """The rows of the n x n identity, of the shared Fractions 1 and 0."""
+    one, zero = _SMALL[257], _SMALL[256]
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
 def _dot(xs, ys):
-    acc = Fraction(0)
+    acc = _SMALL[256]
     for x, y in zip(xs, ys):
         if x and y:
             acc = acc + x * y
@@ -503,7 +521,8 @@ def kernel(M: Matrix) -> Matrix:
     a = M.to_rows()
     pivots = _rref_rows(a, M.cols)
     free = [c for c in range(M.cols) if c not in pivots]
-    rows = [[Fraction(c == f) for f in free] for c in range(M.cols)]
+    one, zero = _SMALL[257], _SMALL[256]
+    rows = [[one if c == f else zero for f in free] for c in range(M.cols)]
     for r, c in enumerate(pivots):
         rows[c] = [-a[r][f] for f in free]
     return _matrix(rows, M.cols, len(free))
@@ -513,8 +532,7 @@ def inverse(M: Matrix) -> Matrix:
     if M.rows != M.cols:
         raise ValueError("inverse of a non-square matrix")
     n = M.rows
-    a = [row + [Fraction(i == j) for j in range(n)]
-         for i, row in enumerate(M.to_rows())]
+    a = [row + unit for row, unit in zip(M.to_rows(), _unit_rows(n))]
     if _rref_rows(a, 2 * n) != list(range(n)):
         raise ValueError("matrix is singular")
     return _matrix([row[n:] for row in a], n, n)
@@ -530,10 +548,10 @@ def det(M: Matrix) -> Scalar:
     a, D = _integer_rows(M._data)
     pivots, sign = _echelon(a, n)
     if len(pivots) < n:
-        return Fraction(0)
+        return _SMALL[256]
     if n and type(a[-1][-1]) is int:  # the fraction-free path ran
-        return Fraction(sign * a[-1][-1], D ** n)
-    return prod((a[i][i] for i in range(n)), start=Fraction(sign))
+        return _ratio(sign * a[-1][-1], D ** n)
+    return prod((a[i][i] for i in range(n)), start=_rational(sign))
 
 
 def _nilpotent_powers(N: Matrix) -> tuple[int, list[list[list]]]:
@@ -596,13 +614,14 @@ def _exp_rows(D: int, powers: Sequence[Sequence[Sequence]], n: int,
 def exp_nilpotent(N: Matrix, t) -> Matrix:
     """``exp(t*N)`` for nilpotent ``N``, as the finite sum of ``t^j N^j / j!``:
     the rows of :func:`_exp_rows` on the powers of :func:`_nilpotent_powers`,
-    divided once by their common denominator.  Raises NotNilpotent when
-    ``N^rows != 0``.
+    divided once by their common denominator through :func:`_ratio`, so a
+    whole entry in -256..256 (every 0 and diagonal 1) is a shared Fraction.
+    Raises NotNilpotent when ``N^rows != 0``.
     """
     t = _rational(t)
     D, powers = _nilpotent_powers(N)
     rows, den = _exp_rows(D, powers, N.rows, t)
-    return _matrix([[Fraction(x, den) if isinstance(x, int) else x / den
+    return _matrix([[_ratio(x, den) if isinstance(x, int) else x / den
                      for x in row] for row in rows], N.rows, N.rows)
 
 
@@ -622,7 +641,7 @@ def solve_quadratic(a, b, c) -> list[Scalar]:
         return [-c / b]
     disc = b * b - 4 * a * c
     s, d = square_split(disc.numerator * disc.denominator)
-    rad = Fraction(s, disc.denominator)  # sqrt(disc) == rad * sqrt(d)
+    rad = _ratio(s, disc.denominator)  # sqrt(disc) == rad * sqrt(d)
     re = -b / (2 * a)
     co = rad / (2 * a)
     if d in (0, 1):  # a double or rational root

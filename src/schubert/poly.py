@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .linalg import Scalar, _coerce, _require_ints
+from .linalg import Scalar, _coerce, _rational, _require_ints
 
 __all__ = ["PolyQ"]
 
@@ -102,7 +102,7 @@ class PolyQ:
 
     def __call__(self, t):
         t = _coerce(t)
-        acc: Scalar = Fraction(0)
+        acc: Scalar = _rational(0)
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
@@ -111,9 +111,9 @@ class PolyQ:
     def divide_linear(self, t0) -> tuple["PolyQ", Scalar]:
         """Synthetic division by ``(t - t0)``; returns (quotient, remainder)."""
         if self.is_zero:
-            return PolyQ(), Fraction(0)
-        q: list = [Fraction(0)] * max(len(self.coeffs) - 1, 0)
-        carry: Scalar = Fraction(0)
+            return PolyQ(), _rational(0)
+        q: list = [_rational(0)] * max(len(self.coeffs) - 1, 0)
+        carry: Scalar = _rational(0)
         for i in range(len(self.coeffs) - 1, 0, -1):
             carry = self.coeffs[i] + t0 * carry
             q[i - 1] = carry

@@ -39,8 +39,8 @@ from math import comb, gcd, lcm, prod
 
 from .errors import DegenerateConfiguration, ZeroPolynomial
 from .grassmann import GrPoint, SchubertCondition
-from .linalg import (Matrix, _echelon, _integer_rows, _rational, _require_ints,
-                     solve_quadratic)
+from .linalg import (Matrix, _echelon, _integer_rows, _ratio, _rational,
+                     _require_ints, solve_quadratic)
 from .poly import PolyQ, _taylor_coefficients
 
 __all__ = [
@@ -94,7 +94,7 @@ class PolyPlane:
         if name != "basis":
             raise AttributeError(f"'PolyPlane' object has no attribute {name!r}")
         self.__dict__["basis"] = basis = tuple(
-            PolyQ([Fraction(x, self._scale) for x in row]) for row in self._rows)
+            PolyQ([_ratio(x, self._scale) for x in row]) for row in self._rows)
         return basis
 
 
@@ -172,7 +172,7 @@ def wronskian(plane: PolyPlane) -> PolyQ:
     integer Cauchy-Binet sum of :func:`_scaled_wronskian` divided once by
     D^k; the eh-check reads that sum undivided.
     """
-    scale = Fraction(plane._scale ** plane.k)
+    scale = _rational(plane._scale ** plane.k)
     return PolyQ([c / scale for c in _scaled_wronskian(plane)])
 
 
@@ -256,8 +256,8 @@ def plane_to_grpoint(plane: PolyPlane) -> GrPoint:
     m = plane.m
     cols = []
     for p in plane.basis:
-        c = list(p.coeffs) + [Fraction(0)] * (m - len(p.coeffs))
-        col = [c[m - 1 - j] * Fraction((-1) ** j, comb(m - 1, j))
+        c = list(p.coeffs) + [_rational(0)] * (m - len(p.coeffs))
+        col = [c[m - 1 - j] * _ratio((-1) ** j, comb(m - 1, j))
                for j in range(m)]
         cols.append(col)
     return GrPoint(Matrix.from_columns(cols))
