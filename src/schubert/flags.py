@@ -26,7 +26,7 @@ from .errors import DimensionMismatch, UnsupportedGroup
 from .linalg import (Matrix, _echelon, _exp_rows, _integer_rows, _matrix,
                      _nilpotent_powers, _ratio, _rational, _require_ints,
                      _unit_rows, rank)
-from .poly import PolyQ, _taylor_coefficients
+from .poly import PolyQ
 
 __all__ = [
     "GroupKind",
@@ -133,18 +133,19 @@ class Flag:
 
 
 def _flag_of(m: int, rows: list[list[int]], den: int) -> Flag:
-    """The Flag with basis ``rows / den``, each entry built by
-    :func:`linalg._ratio` (so a whole one in -256..256, every 0 above the
-    diagonal among them, is the shared Fraction), and ``_rows`` the m x m
-    integer ``rows`` themselves, den > 0 (see :class:`Flag`).  Both callers
-    build rows lower triangular with a nonzero diagonal for every t, so
-    invertible; any other rows, singular ones among them, raise ValueError."""
+    """The Flag with basis ``rows / den`` and ``_rows`` the m x m integer
+    ``rows`` themselves, den > 0 (see :class:`Flag`).  Both callers build
+    rows lower triangular with a nonzero diagonal for every t, so
+    invertible; any other rows, singular ones among them, raise ValueError.
+    That check proves the entries above the diagonal zero: they are the
+    shared 0, and the rest, built by :func:`linalg._ratio`, share theirs."""
     if any(not row[i] or any(row[i + 1:]) for i, row in enumerate(rows)):
         raise ValueError("flag rows are singular or not lower triangular")
     flag = object.__new__(Flag)
     object.__setattr__(flag, "ambient_dim", m)
     object.__setattr__(flag, "basis", _matrix(
-        [[_ratio(x, den) for x in row] for row in rows], m, m))
+        [[_ratio(x, den) for x in row[:i + 1]] + [_rational(0)] * (m - 1 - i)
+         for i, row in enumerate(rows)], m, m))
     flag.__dict__["_rows"] = tuple(map(tuple, rows))
     return flag
 
@@ -171,6 +172,11 @@ class BilinearForm:
     @property
     def ambient_dim(self) -> int:
         return self.gram.rows
+
+    @cached_property
+    def _rows(self) -> tuple[tuple, ...]:
+        """:func:`_integer_rows` of the Gram matrix, built once; only read."""
+        return tuple(map(tuple, _integer_rows(self.gram._data)[0]))
 
 
 # -- curves and osculating flags -------------------------------------------
@@ -203,38 +209,33 @@ def curve_point(kind: GroupKind, t) -> Matrix:
 
 @lru_cache(maxsize=32)
 def _curve_rows(kind: GroupKind) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The curve entries' coefficients (lowest degree first) as the integer
-    rows of :func:`_integer_rows`, and their common denominator."""
-    rows, L = _integer_rows([p.coeffs for p in curve_polynomials(kind)])
-    return tuple(map(tuple, rows)), L
+    """Row j: a_j * j!/(j-i)! for i = 0..j, curve entry j being the monomial
+    a_j * t^j / L, a_j an int; and the common denominator L."""
+    (lead,), L = _integer_rows([[p.coeffs[-1] for p in curve_polynomials(kind)]])
+    return tuple(tuple(a * factorial(j) // factorial(j - i) for i in range(j + 1))
+                 for j, a in enumerate(lead)), L
 
 
 def osculating_flag(kind: GroupKind, t) -> Flag:
     """The flag of derivative spans of the curve at t.
 
-    Column i holds the (i-1)-st derivative of the curve.  With t = u/v and
-    curve entry j equal to p_j / L, p_j an integer polynomial of degree j
-    and L the common denominator, its i-th derivative (from 0) at t is
-    i! * h_i / (L * v^(j-i)), h_i being p_j's i-th integer Taylor coefficient
-    (:func:`poly._taylor_coefficients`), and 0 for i > j.  Over L * v^(m-1)
-    that is the integer i! * h_i * v^(m-1-j+i), so row j ends at its diagonal
-    j! * h_j * v^(m-1), h_j the leading coefficient of p_j, nonzero for every
-    t: the shape :func:`_flag_of` checks.
+    Column i holds the (i-1)-st derivative of the curve.  Every curve entry
+    is one monomial a_j * t^j / L, a_j an int and L the common denominator,
+    so with t = u/v its i-th derivative (from 0) at t is the closed form
+    a_j * j!/(j-i)! * u^(j-i) / (L * v^(j-i)), and 0 for i > j.  Over
+    L * v^(m-1) that is the integer a_j * j!/(j-i)! * u^(j-i) * v^(m-1-j+i)
+    (a coefficient of :func:`_curve_rows` times one of m products of
+    powers of u and v), so row j ends at its diagonal a_j * j! * v^(m-1),
+    nonzero for every t: the shape :func:`_flag_of` checks.
     """
     t = _rational(t)
-    v = t.denominator
+    u, v = t.numerator, t.denominator
     m = kind.ambient_dim
     curve, L = _curve_rows(kind)
-    rows = []
-    for ns in curve:
-        d = len(ns) - 1
-        f = v ** (m - 1 - d)
-        row = []
-        for i, h in enumerate(_taylor_coefficients(ns, t)):
-            row.append(factorial(i) * h * f)
-            f *= v
-        rows.append(row + [0] * (m - 1 - d))
-    return _flag_of(m, rows, L * v ** (m - 1))
+    z = [u ** k * v ** (m - 1 - k) for k in range(m)]
+    rows = [[c * z[j - i] for i, c in enumerate(cs)] + [0] * (m - 1 - j)
+            for j, cs in enumerate(curve)]
+    return _flag_of(m, rows, L * z[0])
 
 
 # -- bilinear forms ----------------------------------------------------------
@@ -261,17 +262,16 @@ def is_isotropic_flag(flag: Flag, form: BilinearForm) -> bool:
 
     Equivalently, with P = basis^T * gram * basis, every entry P[a][b] with
     (1-indexed) a + b <= m vanishes.  P is formed from the columns of the
-    flag's ``_rows`` (see :class:`Flag`) and the Gram matrix as
-    :func:`_integer_rows` scales it; nonzero scalings of the basis and of
-    the Gram matrix leave the zero pattern of P unchanged.
+    flag's ``_rows`` (see :class:`Flag`) and the form's ``_rows``, the
+    Gram matrix scaled once per form; nonzero scalings of the
+    basis and of the Gram matrix leave the zero pattern of P unchanged.
     """
     m = flag.ambient_dim
     if form.ambient_dim != m:
         raise DimensionMismatch(
             f"flag in dimension {m}, form in dimension {form.ambient_dim}")
     cols = list(zip(*flag._rows))
-    gram, _ = _integer_rows(form.gram._data)
-    nonzeros = [[(b, g) for b, g in enumerate(row) if g] for row in gram]
+    nonzeros = [[(b, g) for b, g in enumerate(row) if g] for row in form._rows]
     # column j of gram * basis, for the columns some pairing needs
     gcols = [[sum(g * col[b] for b, g in row) for row in nonzeros]
              for col in cols[:m - 1]]
@@ -327,8 +327,8 @@ def nilpotency_index(N: Matrix) -> int:
 
 @lru_cache(maxsize=32)
 def _principal_powers(kind: GroupKind) -> tuple[int, tuple]:
-    """:func:`_nilpotent_powers` of :func:`principal_nilpotent`, each power
-    a tuple of int tuples."""
+    """:func:`_nilpotent_powers` of :func:`principal_nilpotent`, each
+    power's rows of ``(column, entry)`` pairs as tuples."""
     D, powers = _nilpotent_powers(principal_nilpotent(kind))
     return D, tuple(tuple(map(tuple, P)) for P in powers)
 

@@ -554,45 +554,45 @@ def det(M: Matrix) -> Scalar:
     return prod((a[i][i] for i in range(n)), start=_rational(sign))
 
 
-def _nilpotent_powers(N: Matrix) -> tuple[int, list[list[list]]]:
-    """``(D, [P_1, ..., P_J])`` with ``P_j = (D*N)^j`` as row lists: the
-    nonzero powers of D*N, so that N's nilpotency index is J + 1.
+def _nilpotent_powers(N: Matrix) -> tuple[int, list[list[list[tuple]]]]:
+    """``(D, [P_1, ..., P_J])`` with ``P_j = (D*N)^j`` given by the nonzeros
+    of its rows, a list of ``(column, entry)`` pairs per row: the nonzero
+    powers of D*N, so that N's nilpotency index is J + 1.
 
     D is the common denominator of :func:`_integer_rows`, making every
     P_j integral; when an entry is irrational, D is 1 and the P_j hold
-    exact scalars.  Each product runs over the nonzeros of D*N's rows,
-    listed once, so a matrix with a bounded number of nonzeros per row
-    costs O(m^2) per power.  Raises NotNilpotent for a non-square N or when
+    exact scalars.  Each product runs over the nonzeros of P_j's rows and
+    of D*N's rows, so a matrix with a bounded number of nonzeros per row
+    costs O(m) per power.  Raises NotNilpotent for a non-square N or when
     ``N^rows != 0``.
     """
     if N.rows != N.cols:
         raise NotNilpotent("only square matrices can be nilpotent")
     n = N.rows
     A, D = _integer_rows(N._data)
-    nonzeros = [[(c, x) for c, x in enumerate(row) if x] for row in A]
-    powers: list[list[list]] = []
-    P = A
-    while any(any(row) for row in P):
+    nonzeros = P = [[(c, x) for c, x in enumerate(row) if x] for row in A]
+    powers: list[list[list[tuple]]] = []
+    while any(P):
         if len(powers) == n - 1:
             raise NotNilpotent(f"matrix power N^{n} is nonzero")
         powers.append(P)
         nxt = []
         for row in P:
-            out = [0] * n
-            for k, x in enumerate(row):
-                if x:
-                    for c, y in nonzeros[k]:
-                        out[c] += x * y
-            nxt.append(out)
+            out: dict = {}
+            for k, x in row:
+                for c, y in nonzeros[k]:
+                    out[c] = out.get(c, 0) + x * y
+            nxt.append([(c, x) for c, x in out.items() if x])
         P = nxt
     return D, powers
 
 
-def _exp_rows(D: int, powers: Sequence[Sequence[Sequence]], n: int,
+def _exp_rows(D: int, powers: Sequence[Sequence[Sequence[tuple]]], n: int,
               t: Fraction) -> tuple[list[list], int]:
     """``(rows, den)`` with ``rows / den == exp(t*N)``, for the n x n
-    nilpotent N whose powers ``(D*N)^j`` are ``powers``, as
-    :func:`_nilpotent_powers` lists them; ``powers`` is only read.
+    nilpotent N whose powers ``(D*N)^j`` are ``powers``, by their rows'
+    nonzeros as :func:`_nilpotent_powers` lists them; ``powers`` is only
+    read, and only its nonzeros are visited.
 
     With ``t = u/v`` the sum of ``t^j N^j / j!`` is
     ``sum_j u^j (vD)^(J-j) (J!/j!) P_j``, integral for rational N, over
@@ -605,9 +605,8 @@ def _exp_rows(D: int, powers: Sequence[Sequence[Sequence]], n: int,
     for j, P in enumerate(powers, 1):
         coef = t.numerator ** j * w ** (J - j) * (factorial(J) // factorial(j))
         for row, prow in zip(acc, P):
-            for c, x in enumerate(prow):
-                if x:
-                    row[c] += coef * x
+            for c, x in prow:
+                row[c] += coef * x
     return acc, den
 
 

@@ -9,7 +9,11 @@ dense (strictly lower triangular, conjugated by a random invertible matrix),
 and flag pairs and isotropic bases come both unchanged and perturbed.
 The flags that osculating_flag and exp_translate_flag build carry integer
 rows from their construction; they are checked against the public
-constructor's rows and paired with flags over Q(sqrt(5)).
+constructor's rows and paired with flags over Q(sqrt(5)).  The closed-form
+osculating rows are checked against the synthetic-division loop that built
+them before, the sparse powers of _nilpotent_powers against dense powers,
+and hand-built forms with a non-integer or Q(sqrt(2))-scaled Gram matrix
+against the isotropy verdicts of gram_matrix.
 """
 
 import random
@@ -19,19 +23,26 @@ from math import factorial
 
 import pytest
 
+from schubert import flags
 from schubert.cli import MAX_AMBIENT_DIM
 from schubert.errors import NotNilpotent
-from schubert.flags import (Flag, GroupKind, _flag_of, curve_polynomials,
-                            exp_translate_flag, flags_equal, gram_matrix,
-                            is_isotropic_flag, nilpotency_index,
+from schubert.flags import (BilinearForm, Flag, GroupKind, _flag_of,
+                            curve_polynomials, exp_translate_flag, flags_equal,
+                            gram_matrix, is_isotropic_flag, nilpotency_index,
                             osculating_flag, principal_nilpotent,
                             random_isotropic_flag)
-from schubert.linalg import (Matrix, QuadExt, _integer_rows, exp_nilpotent,
-                             inverse, rank)
+from schubert.linalg import (Matrix, QuadExt, _integer_rows, _nilpotent_powers,
+                             _rational, exp_nilpotent, inverse, rank)
+from schubert.poly import _taylor_coefficients
 
 F = Fraction
 T_VALUES = [F(0), F(1), F(-2), F(3, 4), F(-5, 3)]
 D = 5  # the Q(sqrt(d)) inputs live in Q(sqrt(5))
+# every kind a --kind command accepts: ambient dimension up to the CLI's bound
+CLI_KINDS = ([GroupKind.sl(m) for m in range(2, MAX_AMBIENT_DIM + 1)]
+             + [GroupKind(tag, n) for tag in ("Sp", "SO_odd", "SO_even")
+                for n in range(1, MAX_AMBIENT_DIM // 2 + 1)
+                if GroupKind(tag, n).ambient_dim <= MAX_AMBIENT_DIM])
 
 
 # -- references ----------------------------------------------------------------
@@ -73,6 +84,38 @@ def ref_osculating_basis(kind, t):
         cols.append([p(t) for p in ps])
         ps = [p.derivative() for p in ps]
     return Matrix.from_columns(cols)
+
+
+def ref_osculating_rows(kind, t):
+    """The integer rows and denominator of the osculating flag at t = u/v by
+    synthetic division: curve entry j is p_j / L, p_j an integer polynomial
+    of degree j, and its i-th derivative over L * v^(m-1) is
+    i! * h_i * v^(m-1-j+i), h_i the i-th Taylor coefficient of p_j."""
+    v = t.denominator
+    m = kind.ambient_dim
+    curve, L = _integer_rows([p.coeffs for p in curve_polynomials(kind)])
+    rows = []
+    for ns in curve:
+        d = len(ns) - 1
+        f = v ** (m - 1 - d)
+        row = []
+        for i, h in enumerate(_taylor_coefficients(ns, t)):
+            row.append(factorial(i) * h * f)
+            f *= v
+        rows.append(row + [0] * (m - 1 - d))
+    return rows, L * v ** (m - 1)
+
+
+def ref_dense_powers(N):
+    """(D, the nonzero powers (D*N)^j as dense row lists)."""
+    A, D = _integer_rows(N._data)
+    DN = Matrix(A)
+    zero = Matrix([[0] * N.rows] * N.rows)
+    out, P = [], DN
+    while P != zero:
+        out.append(P.to_rows())
+        P = P * DN
+    return D, out
 
 
 def ref_root_elements(kind):
@@ -138,6 +181,13 @@ def _dense_nilpotent(rng, n, d):
     return S * L * inverse(S)
 
 
+def _lower_nilpotent(rng, n, d):
+    """Strictly lower triangular, about 60 % of the entries below the
+    diagonal nonzero."""
+    return Matrix([[_scalar(rng, d) if i > j and rng.random() < 0.6 else 0
+                    for j in range(n)] for i in range(n)])
+
+
 def _upper(rng, n, d):
     return Matrix([[_scalar(rng, d) if i < j else F(rng.randint(1, 5)) if i == j
                     else F(0) for j in range(n)] for i in range(n)])
@@ -164,6 +214,9 @@ def test_exp_nilpotent_and_index_match_power_series():
               GroupKind.so_even(3))]
     cases += [_dense_nilpotent(rng, n, None) for n in (1, 2, 3, 4, 5, 5)]
     cases += [_dense_nilpotent(rng, n, D) for n in (2, 3)]
+    rng = random.Random(31)
+    cases += [_lower_nilpotent(rng, n, None) for n in (1, 2, 3, 5, 8, 11)]
+    cases += [_lower_nilpotent(rng, n, 2) for n in (2, 3, 4, 6)]
     dense = 0
     for N in cases:
         dense += sum(1 for i in range(N.rows) for j in range(N.cols)
@@ -172,6 +225,30 @@ def test_exp_nilpotent_and_index_match_power_series():
         for t in T_VALUES:
             assert exp_nilpotent(N, t) == ref_exp_nilpotent(N, t), (N, t)
     assert dense > 0  # the conjugated cases are not lower triangular
+
+
+def test_sparse_powers_reproduce_the_dense_powers():
+    rng = random.Random(31)
+    cases = [principal_nilpotent(kind) for kind in CLI_KINDS]
+    cases += [_lower_nilpotent(rng, n, None) for n in (1, 2, 3, 5, 8, 11)]
+    cases += [_lower_nilpotent(rng, n, 2) for n in (2, 3, 4, 6)]
+    irrational = 0
+    for N in cases:
+        D, powers = _nilpotent_powers(N)
+        dense = []
+        for P in powers:
+            rows = [[0] * N.rows for _ in P]
+            for row, pairs in zip(rows, P):
+                # only nonzeros are listed, each column once
+                assert all(x for _, x in pairs)
+                assert len({c for c, _ in pairs}) == len(pairs)
+                for c, x in pairs:
+                    row[c] = x
+            dense.append(rows)
+        assert (D, dense) == ref_dense_powers(N), N
+        irrational += any(type(x) is QuadExt for P in powers for row in P
+                          for _, x in row)
+    assert irrational >= 3
 
 
 def test_not_nilpotent_from_both_entry_points():
@@ -195,6 +272,20 @@ def test_osculating_flag_matches_polynomial_derivatives():
         for t in T_VALUES:
             assert osculating_flag(kind, t).basis == ref_osculating_basis(
                 kind, t), (kind, t)
+
+
+@pytest.mark.parametrize("kind", [k for k in CLI_KINDS if k.tag != "SO_even"],
+                         ids=str)
+def test_osculating_rows_match_the_taylor_loop(kind):
+    m = kind.ambient_dim
+    for t in (F(0), F(1), F(-3, 7), F(9, 2), F(10 ** 40, 3)):
+        rows, den = ref_osculating_rows(kind, t)
+        flag = osculating_flag(kind, t)
+        assert [list(r) for r in flag._rows] == rows, (kind, t)
+        assert flag.basis == Matrix([[F(x, den) for x in row] for row in rows])
+        # the entries above the diagonal are the one shared 0
+        assert all(flag.basis[i, j] is _rational(0)
+                   for i in range(m) for j in range(i + 1, m))
 
 
 def test_flags_equal_matches_prefix_ranks():
@@ -394,3 +485,57 @@ def test_mixed_field_pairs_match_references():
                 isotropic[iso] += 1
     assert verdicts[True] >= 10 and verdicts[False] >= 5
     assert isotropic[True] >= 10 and isotropic[False] >= 3
+
+
+def _scaled_form(kind, s):
+    form = gram_matrix(kind)
+    return BilinearForm(form.kind, Matrix([[x * s for x in row]
+                                           for row in form.gram.to_rows()]))
+
+
+def test_scaled_forms_give_the_gram_matrix_verdicts(monkeypatch):
+    # forms built by hand, with a non-integer and two Q(sqrt(2))-scaled Gram
+    # matrices, on isotropic flags in rational and Q(sqrt(2)) bases, and on
+    # the same flags moved
+    rng = random.Random(32)
+    sqrt2 = QuadExt(0, 1, 2)
+    kinds = [GroupKind.sp(1), GroupKind.sp(2), GroupKind.sp(3),
+             GroupKind.so_odd(1), GroupKind.so_odd(3)]
+    cases = []
+    for kind in kinds:
+        m = kind.ambient_dim
+        for trial in range(6):
+            t = F(rng.randint(-9, 9), rng.randint(1, 9))
+            flag = (osculating_flag(kind, t), exp_translate_flag(kind, t),
+                    random_isotropic_flag(kind, trial))[trial % 3]
+            B = flag.basis * _upper(rng, m, 2) if trial % 2 and m <= 4 else flag.basis
+            for B in (B, _perturbed(rng, B, None)):
+                if rank(B) == m:
+                    cases.append((kind, Flag(m, B)))
+                    cases[-1][1]._rows  # built now: the spy counts the forms'
+
+    built = []
+    integer_rows = flags._integer_rows
+
+    def spy(rows):
+        built.append(id(rows))
+        return integer_rows(rows)
+
+    monkeypatch.setattr(flags, "_integer_rows", spy)
+    forms = {kind: (_scaled_form(kind, F(1, 2)), _scaled_form(kind, sqrt2),
+                    _scaled_form(kind, 3 - sqrt2 / 5)) for kind in kinds}
+    verdicts = {True: 0, False: 0}
+    for _ in range(2):
+        for kind, flag in cases:
+            want = is_isotropic_flag(flag, gram_matrix(kind))
+            assert want == ref_is_isotropic(flag, gram_matrix(kind))
+            for form in forms[kind]:
+                assert is_isotropic_flag(flag, form) == want, (kind, form)
+            verdicts[want] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 10
+    # the integer rows of each form are built once, on first use
+    for form in [f for fs in forms.values() for f in fs]:
+        assert built.count(id(form.gram._data)) == 1
+    assert len(built) <= len(kinds) * 4
+    half = forms[GroupKind.sp(2)][0]
+    assert half.gram[0, 3] == F(1, 2) and half._rows[0][3] == 1
