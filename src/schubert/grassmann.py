@@ -31,8 +31,8 @@ from .errors import (DegenerateConfiguration, DimensionMismatch, InfinitelyMany,
                      NegativeExpectedDimension, NotInCellInterior, NotMember)
 from .flags import Flag
 from .linalg import (Matrix, _coerce, _echelon, _integer_rows, _matrix,
-                     _rational, _require_ints, _rref_rows, _unit_rows, det,
-                     rank, solve_quadratic)
+                     _rank_rows, _rational, _require_ints, _rref_rows,
+                     _unit_rows, det, rank, solve_quadratic)
 
 __all__ = [
     "SchubertCondition",
@@ -251,7 +251,18 @@ class TransversalityCertificate:
 def transversality_certificate(
         V: GrPoint,
         conditions: Sequence[tuple[SchubertCondition, Flag]]) -> TransversalityCertificate:
-    """Stack all tangent constraints at V and compare rank with codim sum."""
+    """Stack all tangent constraints at V and compare rank with codim sum.
+
+    The rank is :func:`linalg._rank_rows` of the stacked rows.  Over
+    Q(sqrt(d)) their full rank may be proved by their image modulo a prime
+    p at which d is a square: the ring map Z[1/D][sqrt(d)] -> F_p with
+    sqrt(d) -> s, s*s == d mod p, D the entries' denominators, none
+    divisible by p, maps every minor to the same minor, so the rank
+    cannot rise.  Every other case, a rank that reads low mod p included,
+    goes to exact elimination: a verdict of not transverse, like
+    NotInCellInterior from :func:`tangent_space`, always comes from exact
+    arithmetic.
+    """
     k, m = V.k, V.ambient_dim
     rows = []
     total = 0
@@ -262,7 +273,7 @@ def transversality_certificate(
             raise NotInCellInterior(f"condition {idx}: {e}") from None
         rows.extend(T.constraints._data)
         total += codim(cond)
-    r = len(_echelon(_integer_rows(rows)[0], k * (m - k))[0])
+    r = _rank_rows(_integer_rows(rows)[0], k * (m - k))
     return TransversalityCertificate(transverse=(r == total),
                                      tangent_codim=r, codim_sum=total)
 

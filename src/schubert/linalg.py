@@ -10,7 +10,10 @@ add one backward pass on the matrix's own scalars, over the pivot row's
 nonzero columns too and through one inverse of a Q(sqrt(d)) pivot.  Whether
 exact input is scaled to integer rows or passed through as irrational is
 decided in one place, :func:`_integer_rows`, for the whole input at once;
-rational input is scaled by its one common denominator.  The private
+rational input is scaled by its one common denominator.  A rank over
+Q(sqrt(d)) is first sought modulo a prime (:func:`_rank_rows`): a full rank
+there proves a full rank exactly, and every other case runs
+:func:`_echelon`.  The private
 routines reduce row lists in place; a :class:`Matrix` is built only where a
 public function returns one, by the trusted :func:`_matrix` from the
 package's scalars.  What counts as an exact rational is decided in one place
@@ -509,8 +512,94 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list], int]:
             for row in rows], D
 
 
+# The 16 largest primes below 2**31 that are 3 mod 4, in decreasing order: at
+# such a p a square d has the square root d**((p + 1)/4) mod p.
+_MODULAR_PRIMES = (
+    2147483647, 2147483587, 2147483579, 2147483563, 2147483543, 2147483423,
+    2147483399, 2147483323, 2147483179, 2147483171, 2147483123, 2147483059,
+    2147482951, 2147482943, 2147482867, 2147482859)
+
+
+def _sqrt_mod_prime(d: int, dens) -> tuple[int, int] | None:
+    """``(p, s)`` for the first p of ``_MODULAR_PRIMES`` that divides none of
+    the ints ``dens`` and has s = d**((p + 1)/4) mod p with s*s == d mod p;
+    None when no listed prime fits."""
+    for p in _MODULAR_PRIMES:
+        if all(den % p for den in dens):
+            s = pow(d, (p + 1) // 4, p)
+            if s * s % p == d % p:
+                return p, s
+    return None
+
+
+def _modular_rank(a: Sequence[Sequence], nc: int) -> int:
+    """The rank of the image in F_p of the rows ``a`` (nc columns) over
+    Q(sqrt(d)), or -1 when their entries carry more than one d or
+    :func:`_sqrt_mod_prime` finds no prime.  Reads ``a`` only.
+
+    The image is that of the ring map Z[1/D][sqrt(d)] -> F_p with
+    sqrt(d) -> s, D the product of the entries' denominators, so each
+    minor of ``a`` maps to the same minor of the image: the image's rank
+    is at most the rank of ``a``.
+    """
+    ds, dens = set(), set()
+    for row in a:
+        for x in row:
+            if type(x) is QuadExt:
+                ds.add(x.d)
+                dens.update((x.a.denominator, x.b.denominator))
+            else:
+                dens.add(x.denominator)
+    found = _sqrt_mod_prime(*ds, dens) if len(ds) == 1 else None
+    if found is None:
+        return -1
+    p, s = found
+    inv = {den: pow(den, -1, p) for den in dens}
+    rows = [[(x.a.numerator * inv[x.a.denominator]
+              + x.b.numerator * inv[x.b.denominator] * s) % p
+             if type(x) is QuadExt else x.numerator * inv[x.denominator] % p
+             for x in row] for row in a]
+    r = 0
+    for c in range(nc):
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        piv_row = rows[r]
+        piv_inv = pow(piv_row[c], -1, p)
+        for row in rows[r + 1:]:
+            if row[c]:
+                f = row[c] * piv_inv % p
+                for j in range(c, nc):
+                    row[j] = (row[j] - f * piv_row[j]) % p
+        r += 1
+    return r
+
+
+def _rank_rows(a: list[list], nc: int) -> int:
+    """The rank of the rows ``a`` (nc columns) as :func:`_integer_rows`
+    leaves them, which it may reduce in place.
+
+    Int rows go straight to :func:`_echelon`.  Over Q(sqrt(d)), a full
+    rank min(rows, nc) of their image mod p (:func:`_modular_rank`) is
+    proof of full rank: rank cannot rise under a ring map, since every
+    minor maps to the same minor of the image.  The exact elimination of
+    :func:`_echelon` decides every other case: more than one d, no listed
+    prime that divides no denominator and at which d is a square, or a
+    rank that reads low mod p.
+    """
+    full = min(len(a), nc)
+    if full and type(a[0][0]) is not int and _modular_rank(a, nc) == full:
+        return full
+    return len(_echelon(a, nc)[0])
+
+
 def rank(M: Matrix) -> int:
-    return len(_echelon(_integer_rows(M._data)[0], M.cols)[0])
+    """The rank of M, by :func:`_rank_rows` on :func:`_integer_rows` of it:
+    fraction-free elimination over Z for rational M, and over Q(sqrt(d)) a
+    full rank proved modulo a prime, with exact elimination when no proof
+    is found."""
+    return _rank_rows(_integer_rows(M._data)[0], M.cols)
 
 
 def kernel(M: Matrix) -> Matrix:

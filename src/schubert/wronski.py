@@ -39,8 +39,8 @@ from math import comb, gcd, lcm, prod
 
 from .errors import DegenerateConfiguration, ZeroPolynomial
 from .grassmann import GrPoint, SchubertCondition
-from .linalg import (Matrix, _echelon, _integer_rows, _ratio, _rational,
-                     _require_ints, solve_quadratic)
+from .linalg import (Matrix, _echelon, _integer_rows, _rank_rows, _ratio,
+                     _rational, _require_ints, solve_quadratic)
 from .poly import PolyQ, _taylor_coefficients
 
 __all__ = [
@@ -85,7 +85,7 @@ class PolyPlane:
                 raise ValueError(f"degree {p.degree()} is not below m = {self.m}")
         rows, scale = _integer_rows([p.coeffs for p in self.basis])
         rows = [row + [0] * (self.m - len(row)) for row in rows]
-        if len(_echelon([list(row) for row in rows], self.m)[0]) != self.k:
+        if _rank_rows([list(row) for row in rows], self.m) != self.k:
             raise ValueError("basis polynomials are linearly dependent")
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_scale", scale)
