@@ -533,15 +533,11 @@ def _sqrt_mod_prime(d: int, dens) -> tuple[int, int] | None:
 
 
 def _modular_rank(a: Sequence[Sequence], nc: int) -> int:
-    """The rank of the image in F_p of the rows ``a`` (nc columns) over
-    Q(sqrt(d)), or -1 when their entries carry more than one d or
-    :func:`_sqrt_mod_prime` finds no prime.  Reads ``a`` only.
-
-    The image is that of the ring map Z[1/D][sqrt(d)] -> F_p with
-    sqrt(d) -> s, D the product of the entries' denominators, so each
-    minor of ``a`` maps to the same minor of the image: the image's rank
-    is at most the rank of ``a``.
-    """
+    """The rank of the image in F_p, under the ring map that
+    :func:`_rank_rows` states, of the rows ``a`` (nc columns) over
+    Q(sqrt(d)), with (p, s) from :func:`_sqrt_mod_prime`; -1 when their
+    entries carry more than one d or no listed prime fits.  Reads ``a``
+    only."""
     ds, dens = set(), set()
     for row in a:
         for x in row:
@@ -580,13 +576,16 @@ def _rank_rows(a: list[list], nc: int) -> int:
     """The rank of the rows ``a`` (nc columns) as :func:`_integer_rows`
     leaves them, which it may reduce in place.
 
-    Int rows go straight to :func:`_echelon`.  Over Q(sqrt(d)), a full
+    Rows whose first entry is an int, as every entry is for rational
+    input, go straight to :func:`_echelon`.  Over Q(sqrt(d)), a full
     rank min(rows, nc) of their image mod p (:func:`_modular_rank`) is
-    proof of full rank: rank cannot rise under a ring map, since every
-    minor maps to the same minor of the image.  The exact elimination of
-    :func:`_echelon` decides every other case: more than one d, no listed
-    prime that divides no denominator and at which d is a square, or a
-    rank that reads low mod p.
+    proof of full rank.  That image comes from the ring map
+    Z[1/D][sqrt(d)] -> F_p with sqrt(d) -> s, where p divides none of the
+    entries' denominators (D their product) and s*s == d mod p; every
+    minor maps to the same minor of the image, so the rank cannot rise.
+    The exact elimination of :func:`_echelon` decides every other case:
+    more than one d, no listed prime that divides no denominator and at
+    which d is a square, or a rank that reads low mod p.
     """
     full = min(len(a), nc)
     if full and type(a[0][0]) is not int and _modular_rank(a, nc) == full:
